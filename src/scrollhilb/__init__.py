@@ -24,6 +24,7 @@ from .gonal import (
     enumerate_z_components,
     gonal_locus_dimension,
     h_component_dimension_at_gonal_m,
+    kk_margin,
     kk_very_ample,
     make_gonal_params,
     rem19608_family,

@@ -70,12 +70,15 @@ def _emit_json(stdout, doc) -> None:
     stdout.write("\n")
 
 
-def _component_row(report: comp.ClassificationReport, rec: comp.ComponentRecord) -> dict:
-    anchored = [
-        n.text
-        for n in report.notes
-        if n.m == rec.m and n.t == rec.t and n.l == rec.l
-    ]
+def _notes_by_anchor(report: comp.ClassificationReport) -> dict:
+    """Note texts of a report keyed by their (m, t, l) anchor, in report order."""
+    index: dict = {}
+    for n in report.notes:
+        index.setdefault((n.m, n.t, n.l), []).append(n.text)
+    return index
+
+
+def _component_row(rec: comp.ComponentRecord, notes_by_anchor: dict) -> dict:
     return {
         "kind": rec.kind.value,
         "d": rec.d,
@@ -87,16 +90,19 @@ def _component_row(report: comp.ClassificationReport, rec: comp.ComponentRecord)
         "dim": rec.dim,
         "generically_smooth": rec.generically_smooth,
         "bundle_class": rec.bundle_class.value if rec.bundle_class else None,
-        "notes": anchored,
+        "notes": notes_by_anchor.get((rec.m, rec.t, rec.l), []),
     }
 
 
+def _component_rows(report: comp.ClassificationReport) -> list[dict]:
+    index = _notes_by_anchor(report)
+    return [_component_row(rec, index) for rec in report.components]
+
+
 def _component_csv_rows(report: comp.ClassificationReport) -> list[dict]:
-    rows = []
-    for rec in report.components:
-        row = _component_row(report, rec)
+    rows = _component_rows(report)
+    for row in rows:
         row["notes"] = "; ".join(row["notes"])
-        rows.append(row)
     return rows
 
 
@@ -104,7 +110,7 @@ def _report_doc(report: comp.ClassificationReport) -> dict:
     p = report.params
     return {
         "params": {"d": p.d, "g": p.g, "h1": p.h1, "R": p.R},
-        "components": [_component_row(report, rec) for rec in report.components],
+        "components": _component_rows(report),
         "reducible": report.reducible,
         "equidimensional": report.equidimensional,
         "complete": report.complete,
@@ -195,7 +201,7 @@ def cmd_scan(args, stdout, stderr) -> int:
                 rows.extend(
                     _component_csv_rows(report)
                     if args.format == "csv"
-                    else [_component_row(report, rec) for rec in report.components]
+                    else _component_rows(report)
                 )
 
     if args.verify:
@@ -223,9 +229,7 @@ def cmd_gonal(args, stdout, stderr) -> int:
     dim_z = gonalmod.z_component_dimension(gp)
     dim_h = gonalmod.h_component_dimension_at_gonal_m(gp, require_existence=False)
     diff = gonalmod.z_vs_h_difference(gp)
-    kk_equality = (
-        gp.l * gp.t * (gp.t - 1) == 2 * gp.g - (gp.t - 1) - gp.t * (gp.t - 1)
-    )
+    kk_equality = gonalmod.kk_margin(gp.g, gp.t, gp.l) == 0
     record = {
         "g": gp.g,
         "t": gp.t,

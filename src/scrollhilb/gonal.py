@@ -29,14 +29,27 @@ def ballico_a(g: int, t: int) -> int:
     a = -(-g // (t - 1)) + 1
     if a < 3:
         raise InvalidParameters("no-valid-a", f"no a >= 3 with (a-2)(t-1) < g = {g}")
-    assert (a - 2) * (t - 1) < g <= (a - 1) * (t - 1)
+    if not (a - 2) * (t - 1) < g <= (a - 1) * (t - 1):
+        raise RuntimeError(
+            f"ballico_a: a = {a} breaks (a-2)(t-1) < g <= (a-1)(t-1) "
+            f"for (g, t) = ({g}, {t}); inexact arithmetic?"
+        )
     return a
+
+
+def kk_margin(g: int, t: int, l: int) -> int:
+    """Slack 2g - (t-1) - t(t-1) - l*t(t-1) of the very-ampleness gate
+    l <= 2g/(t(t-1)) - 1/t - 1, cross-multiplied by t(t-1).
+
+    The gate holds when the margin is >= 0, with equality when it is 0.  For
+    l >= 0 the margin strictly decreases in t >= 1."""
+    return 2 * g - (t - 1) - t * (t - 1) - l * t * (t - 1)
 
 
 def kk_very_ample(g: int, t: int, l: int) -> bool:
     """Very-ampleness gate for the bundle canonical minus (l-1) pencils:
     l <= 2g/(t(t-1)) - 1/t - 1, checked by cross-multiplication."""
-    return l * t * (t - 1) <= 2 * g - (t - 1) - t * (t - 1)
+    return kk_margin(g, t, l) >= 0
 
 
 def gonal_locus_dimension(g: int, t: int) -> int:
@@ -171,21 +184,30 @@ def rem19608_family(l: int) -> GonalParams:
     g = 3 * l + 4
     gp = GonalParams(g=g, t=3, l=l, d=6 * g - 5)
     # equality in the very-ampleness gate: l*6 == 2g - 2 - 6 == 6l
-    assert gp.l * gp.t * (gp.t - 1) == 2 * g - (gp.t - 1) - gp.t * (gp.t - 1)
-    assert g < 4 * l
+    if kk_margin(gp.g, gp.t, gp.l) != 0:
+        raise RuntimeError(f"rem19608_family: very-ampleness is not an equality at l = {l}")
+    if gp.g >= 4 * gp.l:
+        raise RuntimeError(f"rem19608_family: g = {gp.g} >= 4l = {4 * gp.l}")
     return gp
 
 
 def enumerate_z_components(d: int, g: int, l: int) -> list[GonalParams]:
     """All valid Z(t, l) for the given degree, genus and speciality,
     ordered by increasing t.  Empty when no gonality passes the gates
-    (in particular whenever d < 6g - 5)."""
+    (in particular whenever d < 6g - 5).
+
+    The valid t form an initial run of [3, gonality): the degree gate
+    d >= 6g - 5 does not involve t; for l >= 2, l <= a - 1 with
+    a = ceil(g/(t-1)) + 1 is equivalent to (l-1)(t-1) < g, whose left side
+    grows with t; and the very-ampleness margin (``kk_margin``) decreases in
+    t.  So the walk stops at the first t that fails, and only survivors are
+    constructed (each still fully validated by ``GonalParams``).
+    """
+    if g < 3 or l < 2 or d < 6 * g - 5:
+        return []
     out = []
-    if g < 3 or l < 2:
-        return out
     for t in range(3, gonality_general(g)):
-        try:
-            out.append(GonalParams(g=g, t=t, l=l, d=d))
-        except InvalidParameters:
-            continue
+        if (l - 1) * (t - 1) >= g or kk_margin(g, t, l) < 0:
+            break
+        out.append(GonalParams(g=g, t=t, l=l, d=d))
     return out

@@ -3,8 +3,16 @@ general-moduli components."""
 
 from __future__ import annotations
 
-import pytest
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scrollhilb import gonal as gonalmod
 from scrollhilb import (
     GonalParams,
     InvalidParameters,
@@ -17,6 +25,7 @@ from scrollhilb import (
     gonal_locus_dimension,
     gonality_general,
     h_component_dimension_at_gonal_m,
+    kk_margin,
     kk_very_ample,
     make_gonal_params,
     rem19608_family,
@@ -62,6 +71,22 @@ def test_ballico_a_sandwich_uniqueness():
                     assert not ((b - 2) * (t - 1) < g <= (b - 1) * (t - 1))
 
 
+def test_ballico_a_sandwich_check_fires_under_optimize():
+    # a float genus loses the low bits of ceil(g/(t-1)), so the computed a
+    # misses the sandwich; the check must raise even with asserts stripped
+    src = str(Path(gonalmod.__file__).resolve().parents[1])
+    code = (
+        "from scrollhilb import ballico_a\n"
+        "try:\n    ballico_a(1e17, 3)\nexcept RuntimeError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env={"PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.startswith("raised ballico_a: a = ")
+
+
 def test_ballico_a_rejects_small_gonality():
     with pytest.raises(InvalidParameters) as exc:
         ballico_a(10, 2)
@@ -93,6 +118,16 @@ def test_kk_very_ample_examples():
     assert 5 * 3 * 2 == 2 * 19 - 2 - 3 * 2
     assert kk_very_ample(19, 3, 6) is False
     assert kk_very_ample(8, 3, 1) is True
+    assert kk_margin(19, 3, 5) == 0
+    assert kk_margin(19, 3, 6) == -6
+    assert kk_margin(8, 3, 1) == 2 * 8 - 2 - 6 - 6
+
+
+def test_kk_margin_decreases_in_t():
+    for g in range(3, 60):
+        for l in range(0, g + 2):
+            for t in range(1, g):
+                assert kk_margin(g, t + 1, l) < kk_margin(g, t, l)
 
 
 def test_gonal_locus_dimension():
@@ -189,6 +224,18 @@ def test_rem19608_family():
         rem19608_family(4)
 
 
+def test_rem19608_family_invariant_checks(monkeypatch):
+    monkeypatch.setattr(gonalmod, "kk_margin", lambda g, t, l: 1)
+    with pytest.raises(RuntimeError, match="very-ampleness"):
+        rem19608_family(5)
+    monkeypatch.setattr(gonalmod, "kk_margin", lambda g, t, l: 0)
+    monkeypatch.setattr(
+        gonalmod, "GonalParams", lambda g, t, l, d: SimpleNamespace(g=4 * l, t=t, l=l, d=d)
+    )
+    with pytest.raises(RuntimeError, match="4l"):
+        rem19608_family(5)
+
+
 @pytest.mark.parametrize("l", range(5, 13))
 def test_rem19608_family_kk_equality(l):
     gp = rem19608_family(l)
@@ -207,3 +254,47 @@ def test_enumerate_z_components():
     assert [(gp.t, gp.l) for gp in zs] == [(3, 2)]
     zs = enumerate_z_components(121, 21, 2)
     assert [gp.t for gp in zs] == [3, 4]  # two gonalities pass every gate
+
+
+def _enumerate_brute(d: int, g: int, l: int) -> list[GonalParams]:
+    """Reference enumeration: try every t in [3, gonality) and keep the ones
+    GonalParams accepts."""
+    out = []
+    if g < 3 or l < 2:
+        return out
+    for t in range(3, gonality_general(g)):
+        try:
+            out.append(GonalParams(g=g, t=t, l=l, d=d))
+        except InvalidParameters:
+            continue
+    return out
+
+
+def test_enumerate_z_components_matches_brute_force():
+    nonempty = 0
+    for g in range(-2, 61):
+        for l in range(-1, g + 3):
+            for d in (6 * g - 6, 6 * g - 5, 6 * g + 7):
+                zs = enumerate_z_components(d, g, l)
+                assert zs == _enumerate_brute(d, g, l), (d, g, l)
+                nonempty += bool(zs)
+    assert nonempty > 500
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    g=st.integers(3, 10**6),
+    l=st.one_of(st.integers(-1, 12), st.integers(-1, 10**6 + 2)),
+    dd=st.sampled_from((-1, 0, 7, 10**6)),
+)
+def test_enumerate_z_components_is_the_valid_prefix(g, l, dd):
+    d = 6 * g - 5 + dd
+    zs = enumerate_z_components(d, g, l)
+    ts = [gp.t for gp in zs]
+    assert ts == list(range(3, 3 + len(ts)))
+    for gp in zs:
+        assert gp == GonalParams(g=g, t=gp.t, l=l, d=d)
+    t_next = 3 + len(ts)
+    if t_next < gonality_general(g):
+        with pytest.raises(InvalidParameters):
+            GonalParams(g=g, t=t_next, l=l, d=d)
