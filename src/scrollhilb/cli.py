@@ -151,13 +151,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _degrees_for(policy: str, g: int, h1: int) -> list[int]:
-    threshold = min_degree_threshold(g, h1)
+def _parse_degree_policy(policy: str) -> tuple[int | None, list[int]]:
+    """(threshold offset, []) for 'min' or '+K', else (None, sorted degrees)."""
     if policy == "min":
-        return [threshold]
+        return 0, []
     if policy.startswith("+"):
-        return [threshold + int(policy[1:])]
-    return sorted({int(s) for s in policy.split(",")})
+        return int(policy[1:]), []
+    return None, sorted({int(s) for s in policy.split(",")})
 
 
 def cmd_classify(args, stdout, stderr) -> int:
@@ -179,35 +179,29 @@ def cmd_scan(args, stdout, stderr) -> int:
     except ValueError as exc:
         stderr.write(f"malformed-range: {exc}\n")
         return 2
+    try:
+        offset, degrees = _parse_degree_policy(args.d)
+    except ValueError as exc:
+        stderr.write(f"malformed-degree-policy: {exc}\n")
+        return 2
 
+    rows_of = _component_csv_rows if args.format == "csv" else _component_rows
     rows: list[dict] = []
-    reports: list[comp.ClassificationReport] = []
     for g in range(g_lo, g_hi + 1):
         for h1 in range(h1_lo, h1_hi + 1):
-            if h1 <= 0 or h1 >= g:
-                continue
-            try:
-                degrees = _degrees_for(args.d, g, h1)
-            except ValueError as exc:
-                stderr.write(f"malformed-degree-policy: {exc}\n")
-                return 2
+            if g < 3 or h1 <= 0 or h1 >= g:
+                continue  # no components, and no threshold
+            if offset is not None:
+                degrees = [min_degree_threshold(g, h1) + offset]
             for d in degrees:
                 try:
                     p = ScrollParams(d, g, h1)
                     report = comp.classify(p, include_gonal=args.gonal)
                 except InvalidParameters:
                     continue  # grid cells without components are skipped
-                reports.append(report)
-                rows.extend(
-                    _component_csv_rows(report)
-                    if args.format == "csv"
-                    else _component_rows(report)
-                )
-
-    if args.verify:
-        for report in reports:
-            if not _verify_report(report, stderr):
-                return 3
+                if args.verify and not _verify_report(report, stderr):
+                    return 3
+                rows.extend(rows_of(report))
 
     if args.format == "csv":
         _emit_csv(stdout, COMPONENT_COLUMNS, rows)

@@ -21,11 +21,11 @@ from .gonal import enumerate_z_components, z_component_dimension, z_vs_h_differe
 from .scroll import (
     BundleClass,
     ScrollParams,
-    min_degree_threshold,
+    _bundle_class,
+    _degree_threshold,
     require_admissible,
-    stability_class,
 )
-from .series import special_series_degree_bounds
+from .series import _require_speciality, _section_degree_range, special_series_degree_bounds
 
 
 class ComponentKind(enum.Enum):
@@ -114,11 +114,8 @@ def component_dimension(p: ScrollParams, m: int) -> int:
 def component_dimension_h1_1(d: int, g: int) -> int:
     """Dimension of the unique speciality-1 component:
     7(g-1) + (d-2g+3)^2 - (d-2g+3)."""
-    threshold = min_degree_threshold(g, 1)
-    if d < threshold:
-        raise InvalidParameters(
-            "degree-below-threshold", f"d = {d} < {threshold} for (g, h1) = ({g}, 1)"
-        )
+    _require_speciality(g, 1)
+    _degree_threshold(g, 1, d)
     s = d - 2 * g + 3
     return 7 * (g - 1) + s * s - s
 
@@ -152,30 +149,9 @@ def singular_by_smaller_section(g: int, h1: int, m_outer: int, m_inner: int) -> 
     """Whether a scroll of the component with section degree ``m_outer``
     whose actual minimal special section has degree ``m_inner`` is a singular
     point (it then lies on the ``m_inner`` component as well)."""
-    lo, hi = special_series_degree_bounds(g, h1)
-    for m in (m_outer, m_inner):
-        if not lo <= m <= hi:
-            raise InvalidParameters(
-                "m-out-of-range", f"m = {m} not in [{lo}, {hi}] for (g, h1) = ({g}, {h1})"
-            )
+    _require_speciality(g, h1)
+    _section_degree_range(g, h1, m_outer, m_inner)
     return m_inner < m_outer
-
-
-def _bundle_class_or_note(p: ScrollParams, m: int, notes: list[ReportNote]) -> BundleClass | None:
-    try:
-        return stability_class(p, m)
-    except InvalidParameters as exc:
-        if exc.code != "nonnegative-self-intersection":
-            raise
-        notes.append(
-            ReportNote(
-                code="boundary-self-intersection",
-                text=f"section self-intersection 2m - d = {2 * m - p.d} >= 0; "
-                "bundle class not asserted",
-                m=m,
-            )
-        )
-        return None
 
 
 def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationReport:
@@ -187,38 +163,61 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
     component Z(t, h1); for speciality 2 this makes the classification
     complete.  Records are ordered by increasing m, then by gonality.
     """
-    threshold = min_degree_threshold(p.g, p.h1)
-    if p.d < threshold:
-        raise InvalidParameters(
-            "degree-below-threshold", f"d = {p.d} < {threshold} for (g, h1) = ({p.g}, {p.h1})"
+    _degree_threshold(p.g, p.h1, p.d)
+    lo, hi = _section_degree_range(p.g, p.h1)
+    if p.h1 == 1 and hi != 2 * p.g - 2:
+        raise RuntimeError(
+            f"classify: speciality-1 range ends at m = {hi}, not 2g - 2 = {2 * p.g - 2}"
         )
-    mrange = admissible_m_range(p.g, p.h1)
 
     notes: list[ReportNote] = []
     records: list[ComponentRecord] = []
 
-    if p.h1 == 1:
-        m_canon = 2 * p.g - 2
-        assert mrange[-1] == m_canon
+    # Past the checks above, every section has h = m - g + h1 >= 2; a
+    # self-intersection 2m - d >= 0 is the one case left without a bundle class.
+    for m in [hi] if p.h1 == 1 else range(lo, hi + 1):
+        if 2 * m - p.d >= 0:
+            bundle_class = None
+            notes.append(
+                ReportNote(
+                    code="boundary-self-intersection",
+                    text=f"section self-intersection 2m - d = {2 * m - p.d} >= 0; "
+                    "bundle class not asserted",
+                    m=m,
+                )
+            )
+        else:
+            bundle_class = _bundle_class(p, m)
         records.append(
             ComponentRecord(
                 kind=ComponentKind.GENERAL_MODULI,
                 d=p.d,
                 g=p.g,
-                h1=1,
-                m=m_canon,
-                dim=component_dimension(p, m_canon),
+                h1=p.h1,
+                m=m,
+                dim=component_dimension_formula(p.d, p.g, p.h1, m),
                 generically_smooth=True,
-                bundle_class=_bundle_class_or_note(p, m_canon, notes),
+                bundle_class=bundle_class,
             )
         )
-        for m in mrange[:-1]:
+        if p.h1 > 1 and singular_point_predicate(p.g, p.h1, m):
+            notes.append(
+                ReportNote(
+                    code="singular-locus",
+                    text="scrolls whose residual series has base points are "
+                    "singular points of the Hilbert scheme",
+                    m=m,
+                )
+            )
+
+    if p.h1 == 1:
+        for m in range(lo, hi):
             notes.append(
                 ReportNote(
                     code="sublocus-codim",
                     text=f"scrolls with special section of degree {m} form a "
                     f"sublocus of codimension {sublocus_codim_h1_1(p.g, m)}",
-                    m=m_canon,
+                    m=hi,
                 )
             )
         notes.append(
@@ -232,29 +231,7 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
             ReportNote(code="connected", text="the Hilbert scheme locus is connected")
         )
     else:
-        for m in mrange:
-            records.append(
-                ComponentRecord(
-                    kind=ComponentKind.GENERAL_MODULI,
-                    d=p.d,
-                    g=p.g,
-                    h1=p.h1,
-                    m=m,
-                    dim=component_dimension(p, m),
-                    generically_smooth=True,
-                    bundle_class=_bundle_class_or_note(p, m, notes),
-                )
-            )
-            if singular_point_predicate(p.g, p.h1, m):
-                notes.append(
-                    ReportNote(
-                        code="singular-locus",
-                        text="scrolls whose residual series has base points are "
-                        "singular points of the Hilbert scheme",
-                        m=m,
-                    )
-                )
-        for m in mrange[1:]:
+        for m in range(lo + 1, hi + 1):
             notes.append(
                 ReportNote(
                     code="singular-overlap",

@@ -18,14 +18,19 @@ from .errors import InvalidParameters
 from .series import SeriesSpec, gonality_general
 
 
+def _require_pencil_degree(t: int) -> None:
+    """Reject a pencil degree t < 3."""
+    if t < 3:
+        raise InvalidParameters("gonality-out-of-range", f"t = {t} < 3")
+
+
 def ballico_a(g: int, t: int) -> int:
     """The unique integer ``a >= 3`` with (a-2)(t-1) < g <= (a-1)(t-1).
 
     Multiples r*D of the degree-``t`` pencil D on a general t-gonal curve
     have dim |rD| = r exactly for r <= a - 2.  Equals ceil(g/(t-1)) + 1.
     """
-    if t < 3:
-        raise InvalidParameters("gonality-out-of-range", f"t = {t} < 3")
+    _require_pencil_degree(t)
     a = -(-g // (t - 1)) + 1
     if a < 3:
         raise InvalidParameters("no-valid-a", f"no a >= 3 with (a-2)(t-1) < g = {g}")
@@ -56,8 +61,7 @@ def gonal_locus_dimension(g: int, t: int) -> int:
     """Dimension 2g + 2t - 5 of the locus of t-gonal curves in the moduli
     space of genus-g curves, valid for 3 <= t < gonality of the general
     curve (above that the locus is everything, of dimension 3g - 3)."""
-    if t < 3:
-        raise InvalidParameters("gonality-out-of-range", f"t = {t} < 3")
+    _require_pencil_degree(t)
     gamma = gonality_general(g)
     if t >= gamma:
         raise InvalidParameters(

@@ -73,7 +73,10 @@ def z_dim_via_parameter_count(gp: GonalParams) -> int:
 
     m = 2 * g - 2 - (l - 1) * t
     e = d - 2 * m
-    assert e >= 2 * g - 1  # the twist is non-special, forcing the splitting
+    if e < 2 * g - 1:  # the twist is non-special, forcing the splitting
+        raise RuntimeError(
+            f"z_dim_via_parameter_count: twist degree {e} < 2g - 1 = {2 * g - 1}"
+        )
     stab = (e - g + 1) + 1
 
     ambient = d - 2 * g + 2 + l

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameters
-from .scroll import ScrollParams, min_degree_threshold, require_admissible
+from .scroll import ScrollParams, _degree_threshold, require_admissible
+from .series import _require_speciality
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,8 @@ def divisor_case(d: int, g: int) -> DivisorCaseDims:
     r = d - 2g + 1; here the parameter-count bound is attained:
     y_dim = h_dim - 1 exactly.
     """
-    threshold = min_degree_threshold(g, 1)
-    if d < threshold:
-        raise InvalidParameters(
-            "degree-below-threshold", f"d = {d} < {threshold} for (g, h1) = ({g}, 1)"
-        )
+    _require_speciality(g, 1)
+    _degree_threshold(g, 1, d)
     r1 = d - 2 * g + 2
     h_dim = 7 * (g - 1) + r1 * r1
     return DivisorCaseDims(h_dim=h_dim, y_dim=h_dim - 1)

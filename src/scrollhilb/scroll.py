@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import InvalidParameters
-from .series import clifford_index_general, special_series_degree_bounds
+from .series import _require_speciality, _section_degree_range, clifford_index_general
 
 
 class BundleClass(enum.Enum):
@@ -46,19 +46,13 @@ class ScrollParams:
     def __post_init__(self):
         if self.g < 3:
             raise InvalidParameters("genus-too-small", f"g = {self.g} < 3")
-        if self.h1 <= 0 or self.h1 >= self.g:
-            raise InvalidParameters(
-                "speciality-out-of-range",
-                f"h1 = {self.h1} not in (0, g) with g = {self.g}",
-            )
+        _require_speciality(self.g, self.h1)
         if self.d < 2 * self.g + 2:
             raise InvalidParameters(
                 "degree-too-small", f"d = {self.d} < 2g + 2 = {2 * self.g + 2}"
             )
         if self.R < 3:
             raise InvalidParameters("ambient-too-small", f"R = {self.R} < 3")
-        # automatic given 0 < h1 <= g, asserted anyway
-        assert self.d - 2 * self.g + 1 <= self.R <= self.d - self.g + 1
 
     @property
     def R(self) -> int:
@@ -94,8 +88,13 @@ class CohomologyTriple:
     chi: int
 
     def __post_init__(self):
-        assert self.h2 == 0
-        assert self.chi == self.h0 - self.h1n
+        if self.h2 != 0:
+            raise InvalidParameters("cohomology-inconsistent", f"h2 = {self.h2} != 0")
+        if self.chi != self.h0 - self.h1n:
+            raise InvalidParameters(
+                "cohomology-inconsistent",
+                f"chi = {self.chi} != h0 - h1n = {self.h0 - self.h1n}",
+            )
 
 
 def make_scroll(d: int, g: int, h1: int) -> ScrollParams:
@@ -142,13 +141,21 @@ def min_degree_threshold(g: int, h1: int) -> int:
     4g - 3 when h1 = 2, otherwise the general-moduli bound
     (7g - eps)/2 - 2*h1 + 2.
     """
-    if h1 <= 0 or h1 >= g:
+    _require_speciality(g, h1)
+    return _degree_threshold(g, h1)
+
+
+def _degree_threshold(g: int, h1: int, d: int | None = None, cap: int | None = None) -> int:
+    """:func:`min_degree_threshold` of a pair with 0 < h1 < g, lowered to
+    ``cap`` if that is smaller; the one check of a degree ``d`` against it."""
+    threshold = 4 * g - 3 if h1 == 2 else general_moduli_threshold(g, h1)
+    if cap is not None and cap < threshold:
+        threshold = cap
+    if d is not None and d < threshold:
         raise InvalidParameters(
-            "speciality-out-of-range", f"h1 = {h1} not in (0, g) with g = {g}"
+            "degree-below-threshold", f"d = {d} < {threshold} for (g, h1) = ({g}, {h1})"
         )
-    if h1 == 2:
-        return 4 * g - 3
-    return general_moduli_threshold(g, h1)
+    return threshold
 
 
 def h0_general_line_bundle(g: int, e: int) -> int:
@@ -164,16 +171,27 @@ def h1_general_line_bundle(g: int, e: int) -> int:
 def require_admissible(p: ScrollParams, m: int) -> None:
     """Check d against the degree threshold and m against the admissible
     section-degree range; reject the first violated inequality."""
-    threshold = min_degree_threshold(p.g, p.h1)
-    if p.d < threshold:
-        raise InvalidParameters(
-            "degree-below-threshold", f"d = {p.d} < {threshold} for (g, h1) = ({p.g}, {p.h1})"
-        )
-    lo, hi = special_series_degree_bounds(p.g, p.h1)  # may raise BN1-violated
-    if not lo <= m <= hi:
-        raise InvalidParameters(
-            "m-out-of-range", f"m = {m} not in [{lo}, {hi}] for (g, h1) = ({p.g}, {p.h1})"
-        )
+    _degree_threshold(p.g, p.h1, p.d)
+    _section_degree_range(p.g, p.h1, m)  # may raise BN1-violated
+
+
+def _require_section(p: ScrollParams, m: int) -> tuple[int, int]:
+    """Dimension ``h = m - g + h1`` and self-intersection ``2m - d`` of a
+    special section of degree ``m``; rejects h < 2, then 2m - d >= 0."""
+    h = m - p.g + p.h1
+    if h < 2:
+        raise InvalidParameters("not-a-section", f"h = m - g + h1 = {h} < 2")
+    gamma_sq = 2 * m - p.d
+    if gamma_sq >= 0:
+        raise InvalidParameters("nonnegative-self-intersection", f"2m - d = {gamma_sq} >= 0")
+    return h, gamma_sq
+
+
+def _bundle_class(p: ScrollParams, m: int) -> BundleClass:
+    """:func:`stability_class` of a section with negative self-intersection."""
+    if p.d >= 6 * p.g - 5 or h1_general_line_bundle(p.g, p.d - 2 * m) == 0:
+        return BundleClass.UNSTABLE_DECOMPOSABLE
+    return BundleClass.UNSTABLE
 
 
 def section_data(p: ScrollParams, m: int, general_N: bool = True) -> SectionData:
@@ -185,14 +203,7 @@ def section_data(p: ScrollParams, m: int, general_N: bool = True) -> SectionData
     ``max(0, g - 1 - (d - 2m))``.
     """
     require_admissible(p, m)
-    h = m - p.g + p.h1
-    if h < 2:
-        raise InvalidParameters("not-a-section", f"h = m - g + h1 = {h} < 2")
-    gamma_sq = 2 * m - p.d
-    if gamma_sq >= 0:
-        raise InvalidParameters(
-            "nonnegative-self-intersection", f"2m - d = {gamma_sq} >= 0"
-        )
+    h, gamma_sq = _require_section(p, m)
     t_ext = h1_general_line_bundle(p.g, p.d - 2 * m) if general_N else None
     return SectionData(m=m, h=h, gamma_sq=gamma_sq, degN=p.d - m, t_ext=t_ext)
 
@@ -210,23 +221,9 @@ def stability_class(p: ScrollParams, m: int) -> BundleClass:
     general-moduli range: sections of scrolls over curves with special
     moduli (e.g. gonal ones) are classified by the same argument.
     """
-    threshold = min(4 * p.g - 3, min_degree_threshold(p.g, p.h1))
-    if p.d < threshold:
-        raise InvalidParameters(
-            "degree-below-threshold", f"d = {p.d} < {threshold} for (g, h1) = ({p.g}, {p.h1})"
-        )
-    h = m - p.g + p.h1
-    if h < 2:
-        raise InvalidParameters("not-a-section", f"h = m - g + h1 = {h} < 2")
-    if 2 * m - p.d >= 0:
-        raise InvalidParameters(
-            "nonnegative-self-intersection", f"2m - d = {2 * m - p.d} >= 0"
-        )
-    if p.d >= 6 * p.g - 5:
-        return BundleClass.UNSTABLE_DECOMPOSABLE
-    if h1_general_line_bundle(p.g, p.d - 2 * m) == 0:
-        return BundleClass.UNSTABLE_DECOMPOSABLE
-    return BundleClass.UNSTABLE
+    _degree_threshold(p.g, p.h1, p.d, cap=4 * p.g - 3)
+    _require_section(p, m)
+    return _bundle_class(p, m)
 
 
 def normal_bundle_cohomology(

@@ -50,6 +50,12 @@ class SeriesSpec:
         return self.g - (self.h + 1) * self.i
 
 
+def _require_speciality(g: int, h1: int) -> None:
+    """Reject a speciality outside 0 < h1 < g."""
+    if h1 <= 0 or h1 >= g:
+        raise InvalidParameters("speciality-out-of-range", f"h1 = {h1} not in (0, g) with g = {g}")
+
+
 def riemann_roch_h0(g: int, deg: int, h1: int) -> int:
     """Sections of a line bundle of degree ``deg`` and speciality ``h1``.
 
@@ -111,10 +117,7 @@ def max_special_degree(g: int, h1: int) -> tuple[int, int]:
     ``mbar = hbar + g - h1``.  Maximality means ``g - (hbar+1)*h1 >= 0`` while
     ``g - (hbar+2)*h1 < 0``.
     """
-    if h1 <= 0 or h1 >= g:
-        raise InvalidParameters(
-            "speciality-out-of-range", f"h1 = {h1} not in (0, g) with g = {g}"
-        )
+    _require_speciality(g, h1)
     hbar = g // h1 - 1
     return hbar, hbar + g - h1
 
@@ -127,13 +130,22 @@ def special_series_degree_bounds(g: int, h1: int) -> tuple[int, int]:
     admissible degree 4 when ``(g, h1) = (3, 1)``.  Requires ``g >= 4*h1``
     (so the section's series has dimension >= 3) or the ``(3, 1)`` case.
     """
-    if h1 <= 0 or h1 >= g:
-        raise InvalidParameters(
-            "speciality-out-of-range", f"h1 = {h1} not in (0, g) with g = {g}"
-        )
+    _require_speciality(g, h1)
+    return _section_degree_range(g, h1)
+
+
+def _section_degree_range(g: int, h1: int, *ms: int) -> tuple[int, int]:
+    """:func:`special_series_degree_bounds` of a pair with 0 < h1 < g;
+    rejects each section degree in ``ms`` outside the range."""
     if (g, h1) == (3, 1):
-        return 4, 4
-    if g < 4 * h1:
+        lo = hi = 4
+    elif g < 4 * h1:
         raise InvalidParameters("BN1-violated", f"g < 4*h1 ({g} < {4 * h1})")
-    _, mbar = max_special_degree(g, h1)
-    return g + 3 - h1, mbar
+    else:
+        lo, hi = g + 3 - h1, g // h1 - 1 + g - h1  # hi is mbar of max_special_degree
+    for m in ms:
+        if not lo <= m <= hi:
+            raise InvalidParameters(
+                "m-out-of-range", f"m = {m} not in [{lo}, {hi}] for (g, h1) = ({g}, {h1})"
+            )
+    return lo, hi

@@ -163,3 +163,17 @@ def test_byte_identical_reruns():
         second = invoke(*cmd)
         assert first == second
         assert first[0] == 0
+
+
+def test_scan_malformed_degree_policy_on_a_grid_without_cells():
+    # (3, 5) has no cell, yet the policy is still parsed and rejected
+    code, out, err = invoke("scan", "--g", "3..3", "--h1", "5..5", "--d", "abc")
+    assert (code, out) == (2, "")
+    assert err == "malformed-degree-policy: invalid literal for int() with base 10: 'abc'\n"
+
+
+def test_scan_skips_genus_two_under_every_degree_policy():
+    for policy, d in (("min", 10), ("+1", 11), ("12", 12)):
+        code, out, err = invoke("scan", "--g", "2..3", "--h1", "1..1", "--d", policy)
+        assert (code, err) == (0, "")
+        assert [(r["g"], r["d"]) for r in json.loads(out)["rows"]] == [(3, d)]

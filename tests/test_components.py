@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grids import degree_values, scroll_grid, speciality_values
+from scrollhilb import components
 from scrollhilb import (
     BundleClass,
     ComponentKind,
@@ -181,6 +182,29 @@ def test_classify_high_speciality_never_claims_completeness():
     (gz,) = by_kind[ComponentKind.GONAL]
     assert (gz.t, gz.l, gz.m, gz.dim) == (3, 3, 22, 3617)
     assert any(n.code == "not-contained" for n in report.notes)
+
+
+def test_classify_boundary_self_intersection_note():
+    # threshold(9, 1) = 31 and m = 2g - 2 = 16: 2m - d is 1 at d = 31, 0 at
+    # d = 32, and negative from d = 33 on
+    for d, gamma_sq in ((31, 1), (32, 0)):
+        report = classify(ScrollParams(d, 9, 1))
+        (rec,) = report.components
+        assert (rec.m, rec.bundle_class) == (16, None)
+        boundary = [n for n in report.notes if n.code == "boundary-self-intersection"]
+        assert [(n.m, n.text) for n in boundary] == [
+            (16, f"section self-intersection 2m - d = {gamma_sq} >= 0; "
+                 "bundle class not asserted")
+        ]
+    report = classify(ScrollParams(33, 9, 1))
+    assert report.components[0].bundle_class is BundleClass.UNSTABLE
+    assert all(n.code != "boundary-self-intersection" for n in report.notes)
+
+
+def test_classify_checks_the_canonical_range_end(monkeypatch):
+    monkeypatch.setattr(components, "_section_degree_range", lambda g, h1: (g + 2, 2 * g - 3))
+    with pytest.raises(RuntimeError, match="range ends at m = 15, not 2g - 2 = 16"):
+        classify(ScrollParams(40, 9, 1))
 
 
 def test_classify_propagates_validation():

@@ -3,6 +3,14 @@ closed forms."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import scrollhilb
 from grids import scroll_grid
 from scrollhilb import (
     component_dimension,
@@ -43,3 +51,26 @@ def test_oracle_covers_both_extension_regimes():
 def test_oracle_agreement_on_grid():
     for p, m in scroll_grid(18):
         assert dim_via_parameter_count(p, m) == component_dimension(p, m)
+
+
+def test_z_oracle_rejects_a_special_twist():
+    # below d = 6g - 5 the twist of degree d - 2m can be special; GonalParams
+    # rejects such a degree, so the oracle sees it only from a stand-in
+    gp = SimpleNamespace(g=19, t=3, l=5, d=60)
+    with pytest.raises(RuntimeError, match="twist degree 12 < 2g - 1 = 37"):
+        z_dim_via_parameter_count(gp)
+
+
+def test_z_oracle_twist_check_fires_under_optimize():
+    src = str(Path(scrollhilb.__file__).resolve().parents[1])
+    code = (
+        "from types import SimpleNamespace\n"
+        "from scrollhilb import z_dim_via_parameter_count\n"
+        "try:\n    z_dim_via_parameter_count(SimpleNamespace(g=19, t=3, l=5, d=60))\n"
+        "except RuntimeError as exc:\n    print('raised', exc)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env={"PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "raised z_dim_via_parameter_count: twist degree 12 < 2g - 1 = 37\n"

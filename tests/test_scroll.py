@@ -3,12 +3,21 @@ normal-bundle cohomology, automorphisms, stability."""
 
 from __future__ import annotations
 
-import pytest
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scrollhilb
 from grids import scroll_grid
 from scrollhilb import (
     BundleClass,
+    CohomologyTriple,
     InvalidParameters,
+    ScrollParams,
     aut_dimension,
     cone_speciality_bound,
     general_moduli_threshold,
@@ -44,6 +53,41 @@ def test_make_scroll_rejects_first_violation_in_order():
 def test_scroll_ambient_bounds_hold_on_grid():
     for p, _ in scroll_grid(16):
         assert p.d - 2 * p.g + 1 <= p.R <= p.d - p.g + 1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), g=st.integers(3, 10**6))
+def test_scroll_ambient_sandwich_follows_from_validation(data, g):
+    h1 = data.draw(st.integers(1, g - 1))
+    d = data.draw(st.integers(2 * g + 2, 10 * g + 10**6))
+    p = ScrollParams(d, g, h1)
+    assert d - 2 * g + 1 <= p.R <= d - g + 1
+
+
+def test_cohomology_triple_rejects_inconsistent_values():
+    assert CohomologyTriple(h0=5, h1n=2, h2=0, chi=3).chi == 3
+    for args, detail in (
+        ((5, 2, 1, 3), "h2 = 1 != 0"),
+        ((5, 2, 0, 4), "chi = 4 != h0 - h1n = 3"),
+    ):
+        with pytest.raises(InvalidParameters) as exc:
+            CohomologyTriple(*args)
+        assert (exc.value.code, exc.value.detail) == ("cohomology-inconsistent", detail)
+
+
+def test_cohomology_triple_check_fires_under_optimize():
+    src = str(Path(scrollhilb.__file__).resolve().parents[1])
+    code = (
+        "from scrollhilb import CohomologyTriple, InvalidParameters\n"
+        "for args in ((5, 2, 1, 3), (5, 2, 0, 4)):\n"
+        "    try:\n        CohomologyTriple(*args)\n"
+        "    except InvalidParameters as exc:\n        print(exc.code)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env={"PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "cohomology-inconsistent\ncohomology-inconsistent\n"
 
 
 def test_cone_speciality_bound():
