@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from . import components as comp
 from . import gonal as gonalmod
@@ -32,37 +32,23 @@ COMPONENT_COLUMNS = [
     "generically_smooth", "bundle_class", "notes",
 ]
 
-GONAL_COLUMNS = [
-    "g", "t", "l", "d", "a", "m", "R", "gonal_locus_dim", "dim_z",
-    "dim_h_formula", "h_component_exists", "difference", "kk_equality",
-    "equidimensional_with_general_moduli", "not_contained_in_general_moduli",
-    "family_19608",
-]
-
-PROJECT_COLUMNS = [
-    "d", "g", "l", "k", "m", "r", "y_dim_lower_bound", "is_divisor_case",
-    "h_dim", "y_dim", "y_vs_target_difference", "y_vs_nonspecial_difference",
-    "new_component_certified",
-]
-
 
 def _cell(value) -> str:
     """CSV cell rendering: integers in decimal, booleans as true/false,
-    absent fields empty (not zero)."""
+    absent fields empty (not zero), a list of notes joined by "; "."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, list):
+        return "; ".join(value)
     return str(value)
 
 
 def _emit_csv(stdout, columns: list[str], rows: list[dict]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # RFC-4180 quoting and CRLF line ends
+    writer = csv.writer(stdout)  # RFC-4180 quoting and CRLF line ends
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row.get(c)) for c in columns])
-    stdout.write(buf.getvalue())
+    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
 
 
 def _emit_json(stdout, doc) -> None:
@@ -70,40 +56,37 @@ def _emit_json(stdout, doc) -> None:
     stdout.write("\n")
 
 
-def _notes_by_anchor(report: comp.ClassificationReport) -> dict:
-    """Note texts of a report keyed by their (m, t, l) anchor, in report order."""
-    index: dict = {}
-    for n in report.notes:
-        index.setdefault((n.m, n.t, n.l), []).append(n.text)
-    return index
-
-
-def _component_row(rec: comp.ComponentRecord, notes_by_anchor: dict) -> dict:
-    return {
-        "kind": rec.kind.value,
-        "d": rec.d,
-        "g": rec.g,
-        "h1": rec.h1,
-        "m": rec.m,
-        "t": rec.t,
-        "l": rec.l,
-        "dim": rec.dim,
-        "generically_smooth": rec.generically_smooth,
-        "bundle_class": rec.bundle_class.value if rec.bundle_class else None,
-        "notes": notes_by_anchor.get((rec.m, rec.t, rec.l), []),
-    }
+def _emit(args, stdout, doc, rows: list[dict], columns: list[str]) -> int:
+    """Write ``doc`` as JSON, or ``rows`` under ``columns`` as CSV."""
+    if args.format == "csv":
+        _emit_csv(stdout, columns, rows)
+    else:
+        _emit_json(stdout, doc)
+    return 0
 
 
 def _component_rows(report: comp.ClassificationReport) -> list[dict]:
-    index = _notes_by_anchor(report)
-    return [_component_row(rec, index) for rec in report.components]
-
-
-def _component_csv_rows(report: comp.ClassificationReport) -> list[dict]:
-    rows = _component_rows(report)
-    for row in rows:
-        row["notes"] = "; ".join(row["notes"])
-    return rows
+    """One row per component record, carrying the texts of the notes anchored
+    at its (m, t, l), in report order."""
+    notes: dict = {}
+    for n in report.notes:
+        notes.setdefault((n.m, n.t, n.l), []).append(n.text)
+    return [
+        {
+            "kind": rec.kind.value,
+            "d": rec.d,
+            "g": rec.g,
+            "h1": rec.h1,
+            "m": rec.m,
+            "t": rec.t,
+            "l": rec.l,
+            "dim": rec.dim,
+            "generically_smooth": rec.generically_smooth,
+            "bundle_class": rec.bundle_class.value if rec.bundle_class else None,
+            "notes": notes.get((rec.m, rec.t, rec.l), []),
+        }
+        for rec in report.components
+    ]
 
 
 def _report_doc(report: comp.ClassificationReport) -> dict:
@@ -165,11 +148,8 @@ def cmd_classify(args, stdout, stderr) -> int:
     report = comp.classify(p, include_gonal=args.gonal)
     if args.verify and not _verify_report(report, stderr):
         return 3
-    if args.format == "csv":
-        _emit_csv(stdout, COMPONENT_COLUMNS, _component_csv_rows(report))
-    else:
-        _emit_json(stdout, _report_doc(report))
-    return 0
+    doc = _report_doc(report)
+    return _emit(args, stdout, doc, doc["components"], COMPONENT_COLUMNS)
 
 
 def cmd_scan(args, stdout, stderr) -> int:
@@ -185,7 +165,6 @@ def cmd_scan(args, stdout, stderr) -> int:
         stderr.write(f"malformed-degree-policy: {exc}\n")
         return 2
 
-    rows_of = _component_csv_rows if args.format == "csv" else _component_rows
     rows: list[dict] = []
     for g in range(g_lo, g_hi + 1):
         for h1 in range(h1_lo, h1_hi + 1):
@@ -201,13 +180,8 @@ def cmd_scan(args, stdout, stderr) -> int:
                     continue  # grid cells without components are skipped
                 if args.verify and not _verify_report(report, stderr):
                     return 3
-                rows.extend(rows_of(report))
-
-    if args.format == "csv":
-        _emit_csv(stdout, COMPONENT_COLUMNS, rows)
-    else:
-        _emit_json(stdout, {"rows": rows})
-    return 0
+                rows.extend(_component_rows(report))
+    return _emit(args, stdout, {"rows": rows}, rows, COMPONENT_COLUMNS)
 
 
 def cmd_gonal(args, stdout, stderr) -> int:
@@ -251,12 +225,7 @@ def cmd_gonal(args, stdout, stderr) -> int:
                 f"{dim_z}, parameter count {check}\n"
             )
             return 3
-
-    if args.format == "csv":
-        _emit_csv(stdout, GONAL_COLUMNS, [record])
-    else:
-        _emit_json(stdout, record)
-    return 0
+    return _emit(args, stdout, record, [record], list(record))
 
 
 def cmd_project(args, stdout, stderr) -> int:
@@ -298,12 +267,7 @@ def cmd_project(args, stdout, stderr) -> int:
             f"exact dimension {record['y_dim']}\n"
         )
         return 3
-
-    if args.format == "csv":
-        _emit_csv(stdout, PROJECT_COLUMNS, [record])
-    else:
-        _emit_json(stdout, record)
-    return 0
+    return _emit(args, stdout, record, [record], list(record))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str], stdout, stderr) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes --help and its usage errors to sys.stdout/sys.stderr
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -4,19 +4,18 @@ Every validation in this package rejects the *first* inequality that fails,
 in a fixed documented order, and names it with a stable kebab-case code so
 that callers (and the CLI) can rely on deterministic diagnostics.  Each
 inequality is checked in one function.  A scroll is checked in this order:
-``ScrollParams`` 1-4, ``require_admissible`` 5-7, ``section_data`` 8-9::
+``ScrollParams`` 1-3, ``require_admissible`` 4-6, ``section_data`` 7-8::
 
     1  genus-too-small                g < 3                     ScrollParams
     2  speciality-out-of-range        h1 <= 0 or h1 >= g        series._require_speciality
     3  degree-too-small               d < 2g + 2                ScrollParams
-    4  ambient-too-small              R < 3                     ScrollParams
-    5  degree-below-threshold         d < min_degree_threshold  scroll._degree_threshold
-    6  BN1-violated                   g < 4*h1, not (3, 1)      series._section_degree_range
-    7  m-out-of-range                 m outside the range       series._section_degree_range
-    8  not-a-section                  m - g + h1 < 2            scroll._require_section
-    9  nonnegative-self-intersection  2m - d >= 0               scroll._require_section
+    4  degree-below-threshold         d < min_degree_threshold  scroll._degree_threshold
+    5  BN1-violated                   g < 4*h1, not (3, 1)      series._section_degree_range
+    6  m-out-of-range                 m outside the range       series._section_degree_range
+    7  not-a-section                  m - g + h1 < 2            scroll._require_section
+    8  nonnegative-self-intersection  2m - d >= 0               scroll._require_section
 
-README.md lists every code, with the other bounds of codes 1, 3, 4 and 7.
+README.md lists every code, with the other bounds of codes 1, 3 and 6.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ against the general-moduli components of the same speciality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidParameters
 from .series import SeriesSpec, gonality_general
@@ -96,8 +96,8 @@ class GonalParams:
     t: int
     l: int
     d: int
-    a: int = 0  # derived
-    m: int = 0  # derived
+    a: int = field(init=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
         gamma = gonality_general(self.g)  # rejects g < 3

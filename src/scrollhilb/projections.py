@@ -24,7 +24,8 @@ class ProjectionParams:
     """Source component (d, g, l, m) plus target speciality k < l.
 
     ``r = d - 2g + 1 + k`` is the target ambient dimension.  The source
-    tuple must be a valid general-moduli component tuple of speciality l.
+    tuple must be a valid general-moduli component tuple of speciality l,
+    which gives r >= 3.
     """
 
     d: int
@@ -39,8 +40,6 @@ class ProjectionParams:
                 "k-out-of-range", f"k = {self.k} not in [0, l) with l = {self.l}"
             )
         require_admissible(ScrollParams(self.d, self.g, self.l), self.m)
-        if self.r < 3:
-            raise InvalidParameters("ambient-too-small", f"r = {self.r} < 3")
 
     @property
     def r(self) -> int:

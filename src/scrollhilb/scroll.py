@@ -36,7 +36,7 @@ class ScrollParams:
     """Validated (degree, genus, speciality) triple of a special scroll.
 
     Validation rejects the first violated inequality, in the order
-    genus, speciality, degree, ambient dimension.
+    genus, speciality, degree.  These give R >= 4.
     """
 
     d: int
@@ -51,8 +51,6 @@ class ScrollParams:
             raise InvalidParameters(
                 "degree-too-small", f"d = {self.d} < 2g + 2 = {2 * self.g + 2}"
             )
-        if self.R < 3:
-            raise InvalidParameters("ambient-too-small", f"R = {self.R} < 3")
 
     @property
     def R(self) -> int:

@@ -6,7 +6,9 @@ import csv
 import io
 import json
 
-from scrollhilb.cli import run
+import pytest
+
+from scrollhilb.cli import COMPONENT_COLUMNS, run
 
 
 def invoke(*argv: str) -> tuple[int, str, str]:
@@ -125,17 +127,40 @@ def test_project_new_component_case():
     assert doc["new_component_certified"] is True
 
 
+def _assert_same_rows(jrows: list[dict], cs: str) -> None:
+    """The CSV rows render the JSON rows field by field: notes joined by
+    "; ", booleans as true/false, None as an empty cell."""
+    crows = list(csv.reader(io.StringIO(cs)))
+    assert crows[0] == COMPONENT_COLUMNS
+    assert len(crows) == len(jrows) + 1
+    for jr, cr in zip(jrows, crows[1:]):
+        assert list(jr) == COMPONENT_COLUMNS
+        for field, cell in zip(COMPONENT_COLUMNS, cr):
+            value = jr[field]
+            if field == "notes":
+                assert cell == "; ".join(value)
+            elif value is None:
+                assert cell == ""
+            elif isinstance(value, bool):
+                assert cell == ("true" if value else "false")
+            else:
+                assert cell == str(value)
+
+
 def test_json_and_csv_numeric_content_agree():
-    _, js, _ = invoke("classify", "--d", "40", "--g", "9", "--h1", "1", "--format", "json")
-    _, cs, _ = invoke("classify", "--d", "40", "--g", "9", "--h1", "1", "--format", "csv")
-    jrows = json.loads(js)["components"]
-    crows = list(csv.DictReader(io.StringIO(cs)))
-    assert len(jrows) == len(crows)
-    for jr, cr in zip(jrows, crows):
-        for field in ("d", "g", "h1", "m", "dim"):
-            assert str(jr[field]) == cr[field]
-        for field in ("t", "l"):
-            assert cr[field] == ("" if jr[field] is None else str(jr[field]))
+    for argv in (("classify", "--d", "40", "--g", "9", "--h1", "1"),
+                 ("classify", "--d", "200", "--g", "33", "--h1", "3", "--gonal")):
+        _, js, _ = invoke(*argv, "--format", "json")
+        _, cs, _ = invoke(*argv, "--format", "csv")
+        _assert_same_rows(json.loads(js)["components"], cs)
+    argv = ("scan", "--g", "3..40", "--h1", "1..40", "--d", "200,235,240", "--gonal")
+    _, js, _ = invoke(*argv, "--format", "json")
+    _, cs, _ = invoke(*argv, "--format", "csv")
+    jrows = json.loads(js)["rows"]
+    # the comparison covers anchored notes, gonal rows and empty cells
+    assert any(r["notes"] for r in jrows)
+    assert any(r["kind"] != "general-moduli" for r in jrows)
+    _assert_same_rows(jrows, cs)
 
 
 def test_verify_failure_exits_3(monkeypatch):
@@ -177,3 +202,33 @@ def test_scan_skips_genus_two_under_every_degree_policy():
         code, out, err = invoke("scan", "--g", "2..3", "--h1", "1..1", "--d", policy)
         assert (code, err) == (0, "")
         assert [(r["g"], r["d"]) for r in json.loads(out)["rows"]] == [(3, d)]
+
+
+# argv -> the start of argparse's error line.  argparse wraps its usage text
+# at the terminal width, and the wording of its messages differs between
+# Python versions: COLUMNS is pinned and only the stable part is matched.
+ARGPARSE_ERRORS = {
+    "classify": "scrollhilb classify: error: the following arguments are required: --d",
+    "classify --d x --g 3 --h1 1":
+        "scrollhilb classify: error: argument --d: invalid int value: 'x'",
+    "scan --g 3..4 --h1 1..1": "scrollhilb scan: error: the following arguments are required: --d",
+    "frobnicate": "scrollhilb: error: argument command: invalid choice: 'frobnicate'",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ARGPARSE_ERRORS))
+def test_argparse_errors_reach_the_given_stderr(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(*argv.split())
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: scrollhilb")
+    assert lines[-1].startswith(ARGPARSE_ERRORS[argv])
+
+
+def test_help_reaches_the_given_stdout(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke("classify", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: scrollhilb classify [-h] --d D --g G --h1 H1")
+    assert "--gonal" in out

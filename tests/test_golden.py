@@ -80,10 +80,6 @@ CLI_GOLDEN = {
         "c164e36f3014cb839e5ae269faf20f7f2b3e7ad47ebf01a63540ae3b9b70aa28",
     "classify --d 40 --g 12 --h1 3":
         "fff22be9bba9930f51360539e3bda115fdb9804f637e178caa76d9c650a05aa6",
-    "classify":
-        "2aaa6528caf115f8d547ec181b253c9e3ad6cfc19ecde6596e5b96643c724cf7",
-    "classify --d x --g 3 --h1 1":
-        "2aaa6528caf115f8d547ec181b253c9e3ad6cfc19ecde6596e5b96643c724cf7",
     "scan --g 3..40 --h1 1..10 --d min":
         "31e8f967cdcba3ab1a118662d74c105c2d0ccdb660232ffd473a920cbc026f51",
     "scan --g 3..40 --h1 1..10 --d min --format csv":
@@ -132,8 +128,6 @@ CLI_GOLDEN = {
         "f1601096daae40969f5ee96e83319e61c0b523beb401393da206ed916331aedd",
     "scan --g 3..4 --h1 1..1 --d +":
         "f1601096daae40969f5ee96e83319e61c0b523beb401393da206ed916331aedd",
-    "scan --g 3..4 --h1 1..1":
-        "2aaa6528caf115f8d547ec181b253c9e3ad6cfc19ecde6596e5b96643c724cf7",
     "gonal --g 19 --t 3 --l 5 --d 110":
         "e98acca3df7d26b4a4e027ddaeb93f1c0c3a91d3200d6c7c1fc2e772fabf783a",
     "gonal --g 19 --t 3 --l 5 --d 110 --format csv --verify":
@@ -188,8 +182,6 @@ CLI_GOLDEN = {
         "96fb2426f2b379c96fadff1e94a089ac482145aa21f63d9668da0d87ea2c7bc4",
     "project --d 29 --g 2 --l 1 --k 0 --m 2":
         "e74c8d77c9cda984c8b8ef1c44bbe29374c5e38ae5789456c0e9f4c45d4fa932",
-    "frobnicate":
-        "2aaa6528caf115f8d547ec181b253c9e3ad6cfc19ecde6596e5b96643c724cf7",
 }
 
 

@@ -160,6 +160,17 @@ def test_gonal_params_validation_order():
         assert exc.value.code == code, args
 
 
+def test_gonal_params_derived_fields_are_not_parameters():
+    gp = GonalParams(19, 3, 5, 110)
+    assert (gp.a, gp.m) == (11, 24)
+    assert repr(gp) == "GonalParams(g=19, t=3, l=5, d=110, a=11, m=24)"
+    for extra in ({"a": 1}, {"m": 1}):
+        with pytest.raises(TypeError):
+            GonalParams(19, 3, 5, 110, **extra)
+    with pytest.raises(TypeError):
+        GonalParams(19, 3, 5, 110, 1, 1)
+
+
 def test_z_component_dimension_examples():
     assert z_component_dimension(make_gonal_params(19, 3, 5, 110)) == 6253
     assert z_component_dimension(make_gonal_params(19, 3, 2, 110)) == 5806

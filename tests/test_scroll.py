@@ -62,6 +62,8 @@ def test_scroll_ambient_sandwich_follows_from_validation(data, g):
     d = data.draw(st.integers(2 * g + 2, 10 * g + 10**6))
     p = ScrollParams(d, g, h1)
     assert d - 2 * g + 1 <= p.R <= d - g + 1
+    # hence no ambient-dimension check: R >= 4, and r >= 3 for a projection
+    assert p.R >= 4 and d - 2 * g + 1 >= 3
 
 
 def test_cohomology_triple_rejects_inconsistent_values():
