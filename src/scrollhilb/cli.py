@@ -26,6 +26,7 @@ from . import oracle
 from . import projections as proj
 from .errors import InvalidParameters
 from .scroll import ScrollParams, min_degree_threshold
+from .series import _has_general_moduli
 
 COMPONENT_COLUMNS = [
     "kind", "d", "g", "h1", "m", "t", "l", "dim",
@@ -124,23 +125,26 @@ def _verify_report(report: comp.ClassificationReport, stderr) -> bool:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    """(lo, hi) of 'A..B' (inclusive) or 'A'; rejects a malformed or empty range."""
+    try:
+        lo, hi = map(int, text.split("..", 1)) if ".." in text else (int(text),) * 2
+    except ValueError as exc:
+        raise InvalidParameters("malformed-range", str(exc)) from None
     if lo > hi:
-        raise ValueError(f"empty range {text}")
+        raise InvalidParameters("malformed-range", f"empty range {text}")
     return lo, hi
 
 
 def _parse_degree_policy(policy: str) -> tuple[int | None, list[int]]:
     """(threshold offset, []) for 'min' or '+K', else (None, sorted degrees)."""
-    if policy == "min":
-        return 0, []
-    if policy.startswith("+"):
-        return int(policy[1:]), []
-    return None, sorted({int(s) for s in policy.split(",")})
+    try:
+        if policy == "min":
+            return 0, []
+        if policy.startswith("+"):
+            return int(policy[1:]), []
+        return None, sorted({int(s) for s in policy.split(",")})
+    except ValueError as exc:
+        raise InvalidParameters("malformed-degree-policy", str(exc)) from None
 
 
 def cmd_classify(args, stdout, stderr) -> int:
@@ -153,31 +157,21 @@ def cmd_classify(args, stdout, stderr) -> int:
 
 
 def cmd_scan(args, stdout, stderr) -> int:
-    try:
-        g_lo, g_hi = _parse_range(args.g)
-        h1_lo, h1_hi = _parse_range(args.h1)
-    except ValueError as exc:
-        stderr.write(f"malformed-range: {exc}\n")
-        return 2
-    try:
-        offset, degrees = _parse_degree_policy(args.d)
-    except ValueError as exc:
-        stderr.write(f"malformed-degree-policy: {exc}\n")
-        return 2
+    g_lo, g_hi = _parse_range(args.g)
+    h1_lo, h1_hi = _parse_range(args.h1)
+    offset, degrees = _parse_degree_policy(args.d)
 
+    # classify only the cells with components (there the threshold is >= 2g + 2)
     rows: list[dict] = []
     for g in range(g_lo, g_hi + 1):
-        for h1 in range(h1_lo, h1_hi + 1):
-            if g < 3 or h1 <= 0 or h1 >= g:
-                continue  # no components, and no threshold
-            if offset is not None:
-                degrees = [min_degree_threshold(g, h1) + offset]
-            for d in degrees:
-                try:
-                    p = ScrollParams(d, g, h1)
-                    report = comp.classify(p, include_gonal=args.gonal)
-                except InvalidParameters:
-                    continue  # grid cells without components are skipped
+        for h1 in range(max(h1_lo, 1), h1_hi + 1):
+            if not _has_general_moduli(g, h1):
+                break  # nor for any larger h1; this covers g < 3 and h1 >= g
+            threshold = min_degree_threshold(g, h1)
+            for d in degrees if offset is None else [threshold + offset]:
+                if d < threshold:
+                    continue
+                report = comp.classify(ScrollParams(d, g, h1), include_gonal=args.gonal)
                 if args.verify and not _verify_report(report, stderr):
                     return 3
                 rows.extend(_component_rows(report))
@@ -185,13 +179,17 @@ def cmd_scan(args, stdout, stderr) -> int:
 
 
 def cmd_gonal(args, stdout, stderr) -> int:
+    given = [k for k in ("g", "t", "d") if getattr(args, k) is not None]
     if args.family_19608:
+        if given:
+            raise InvalidParameters(
+                "conflicting-flags", f"--{' --'.join(given)} not allowed with --family-19608"
+            )
         gp = gonalmod.rem19608_family(args.l)
     else:
-        missing = [k for k in ("g", "t", "d") if getattr(args, k) is None]
+        missing = [k for k in ("g", "t", "d") if k not in given]
         if missing:
-            stderr.write(f"missing-flags: --{' --'.join(missing)} required\n")
-            return 2
+            raise InvalidParameters("missing-flags", f"--{' --'.join(missing)} required")
         gp = gonalmod.GonalParams(g=args.g, t=args.t, l=args.l, d=args.d)
 
     dim_z = gonalmod.z_component_dimension(gp)
@@ -209,7 +207,7 @@ def cmd_gonal(args, stdout, stderr) -> int:
         "gonal_locus_dim": gonalmod.gonal_locus_dimension(gp.g, gp.t),
         "dim_z": dim_z,
         "dim_h_formula": dim_h,
-        "h_component_exists": gp.g >= 4 * gp.l,
+        "h_component_exists": _has_general_moduli(gp.g, gp.l),
         "difference": diff,
         "kk_equality": kk_equality,
         "equidimensional_with_general_moduli": (diff == 0) if gp.l == 2 else None,

@@ -266,19 +266,18 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
                         l=gp.l,
                     )
                 )
-                if gp.l >= 3:
-                    diff = z_vs_h_difference(gp)
-                    if diff >= 0:
-                        notes.append(
-                            ReportNote(
-                                code="not-contained",
-                                text=f"Z({gp.t},{gp.l}) is not contained in any "
-                                f"general-moduli component (dimension excess {diff})",
-                                m=gp.m,
-                                t=gp.t,
-                                l=gp.l,
-                            )
+                if gp.l >= 3:  # then the excess is positive (z_vs_h_difference)
+                    notes.append(
+                        ReportNote(
+                            code="not-contained",
+                            text=f"Z({gp.t},{gp.l}) is not contained in any "
+                            f"general-moduli component (dimension excess "
+                            f"{z_vs_h_difference(gp)})",
+                            m=gp.m,
+                            t=gp.t,
+                            l=gp.l,
                         )
+                    )
             if p.h1 == 2:
                 notes.append(
                     ReportNote(

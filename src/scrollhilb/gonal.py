@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameters
-from .series import SeriesSpec, gonality_general
+from .series import SeriesSpec, _has_general_moduli, gonality_general
 
 
 def _require_pencil_degree(t: int) -> None:
@@ -151,7 +151,7 @@ def h_component_dimension_at_gonal_m(gp: GonalParams, require_existence: bool = 
     ``require_existence=False`` the formula value is returned regardless,
     which is what the dimension comparison against Z(t, l) uses.
     """
-    if require_existence and gp.g < 4 * gp.l:
+    if require_existence and not _has_general_moduli(gp.g, gp.l):
         raise InvalidParameters(
             "no-general-moduli-component", f"g = {gp.g} < 4l = {4 * gp.l}"
         )
@@ -169,9 +169,10 @@ def z_vs_h_difference(gp: GonalParams) -> int:
     """Dimension of Z(t, l) minus the general-moduli formula at the gonal
     section degree: (l-2)(g + 1 + l - t(l+1)).
 
-    Non-negative whenever the very-ampleness gate holds (zero for l = 2);
-    this is what certifies that Z(t, l) is not contained in any
-    general-moduli component.
+    Zero for l = 2.  For l >= 3, very-ampleness with t >= 3 gives
+    g >= t(l+1) + 1, so the difference is at least (l-2)(l+2) > 0; this is
+    what certifies that Z(t, l) is not contained in any general-moduli
+    component.
     """
     return (gp.l - 2) * (gp.g + 1 + gp.l - gp.t * (gp.l + 1))
 
@@ -190,7 +191,7 @@ def rem19608_family(l: int) -> GonalParams:
     # equality in the very-ampleness gate: l*6 == 2g - 2 - 6 == 6l
     if kk_margin(gp.g, gp.t, gp.l) != 0:
         raise RuntimeError(f"rem19608_family: very-ampleness is not an equality at l = {l}")
-    if gp.g >= 4 * gp.l:
+    if _has_general_moduli(gp.g, gp.l):
         raise RuntimeError(f"rem19608_family: g = {gp.g} >= 4l = {4 * gp.l}")
     return gp
 

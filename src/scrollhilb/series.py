@@ -104,8 +104,6 @@ def gonality_general(g: int) -> int:
     """
     if g < 3:
         raise InvalidParameters("genus-too-small", f"g = {g} < 3")
-    if g % 2 == 0:
-        return (g + 2) // 2
     return (g + 3) // 2
 
 
@@ -134,13 +132,19 @@ def special_series_degree_bounds(g: int, h1: int) -> tuple[int, int]:
     return _section_degree_range(g, h1)
 
 
+def _has_general_moduli(g: int, h1: int) -> bool:
+    """Whether components with general moduli exist at speciality h1 >= 1:
+    g >= 4*h1 (BN1), or (g, h1) = (3, 1); otherwise the moduli are special."""
+    return g >= 4 * h1 or (g, h1) == (3, 1)
+
+
 def _section_degree_range(g: int, h1: int, *ms: int) -> tuple[int, int]:
     """:func:`special_series_degree_bounds` of a pair with 0 < h1 < g;
     rejects each section degree in ``ms`` outside the range."""
+    if not _has_general_moduli(g, h1):
+        raise InvalidParameters("BN1-violated", f"g < 4*h1 ({g} < {4 * h1})")
     if (g, h1) == (3, 1):
         lo = hi = 4
-    elif g < 4 * h1:
-        raise InvalidParameters("BN1-violated", f"g < 4*h1 ({g} < {4 * h1})")
     else:
         lo, hi = g + 3 - h1, g // h1 - 1 + g - h1  # hi is mbar of max_special_degree
     for m in ms:

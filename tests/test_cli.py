@@ -8,7 +8,9 @@ import json
 
 import pytest
 
+from scrollhilb import InvalidParameters, ScrollParams, classify, min_degree_threshold
 from scrollhilb.cli import COMPONENT_COLUMNS, run
+from scrollhilb.series import _has_general_moduli
 
 
 def invoke(*argv: str) -> tuple[int, str, str]:
@@ -107,6 +109,15 @@ def test_gonal_missing_flags_exit_2():
     assert code == 2 and "missing-flags" in err
 
 
+def test_gonal_family_rejects_the_flags_it_would_ignore():
+    argv = "gonal --family-19608 --l 5 --g 99 --t 7 --d 1".split()
+    code, out, err = invoke(*argv)
+    assert (code, out) == (2, "")
+    assert err == "conflicting-flags: --g --t --d not allowed with --family-19608\n"
+    code, out, err = invoke("gonal", "--family-19608", "--l", "5", "--d", "109")
+    assert (code, out, err) == (2, "", "conflicting-flags: --d not allowed with --family-19608\n")
+
+
 def test_project_divisor_case():
     code, out, _ = invoke("project", "--d", "28", "--g", "8", "--l", "1",
                           "--k", "0", "--m", "14", "--verify")
@@ -195,6 +206,43 @@ def test_scan_malformed_degree_policy_on_a_grid_without_cells():
     code, out, err = invoke("scan", "--g", "3..3", "--h1", "5..5", "--d", "abc")
     assert (code, out) == (2, "")
     assert err == "malformed-degree-policy: invalid literal for int() with base 10: 'abc'\n"
+
+
+def _classify_accepts(d: int, g: int, h1: int) -> bool:
+    try:
+        classify(ScrollParams(d, g, h1), include_gonal=True)
+    except InvalidParameters:
+        return False
+    return True
+
+
+def test_scan_cell_rule_is_exactly_where_classify_succeeds():
+    # the scan classifies a cell iff h1 >= 1, it has general moduli and d
+    # reaches the threshold; classify must accept exactly those cells
+    for g in range(0, 61):
+        for h1 in range(-1, g + 2):
+            degrees = {2 * g + 1, 2 * g + 2, 2 * g + 3, 6 * g - 6, 6 * g - 5, 6 * g - 4}
+            if g >= 3 and 0 < h1 < g:
+                thr = min_degree_threshold(g, h1)
+                degrees |= {thr - 1, thr, thr + 1}
+            for d in sorted(degrees):
+                kept = h1 >= 1 and _has_general_moduli(g, h1) and d >= min_degree_threshold(g, h1)
+                assert kept == _classify_accepts(d, g, h1), (d, g, h1)
+
+
+def test_scan_reports_an_error_on_a_kept_cell(monkeypatch):
+    import scrollhilb.cli as cli_module
+
+    real = cli_module.comp.classify
+
+    def classify_failing_at_8_2(p, include_gonal=False):
+        if (p.g, p.h1) == (8, 2):
+            raise InvalidParameters("m-out-of-range", "injected")
+        return real(p, include_gonal=include_gonal)
+
+    monkeypatch.setattr(cli_module.comp, "classify", classify_failing_at_8_2)
+    code, out, err = invoke("scan", "--g", "3..10", "--h1", "1..2", "--d", "min")
+    assert (code, out, err) == (2, "", "m-out-of-range: injected\n")
 
 
 def test_scan_skips_genus_two_under_every_degree_policy():

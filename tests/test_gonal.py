@@ -3,13 +3,14 @@ general-moduli components."""
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scrollhilb import gonal as gonalmod
@@ -202,6 +203,41 @@ def test_difference_is_exactly_the_dimension_gap():
         # non-negative under the very-ampleness gate, so the gonal component
         # is never contained in a general-moduli one
         assert lhs >= 0
+
+
+@st.composite
+def large_gonal_params(draw, gmax: int = 10**6) -> GonalParams:
+    """A valid Z(t, l) with g <= gmax: a t that passes the very-ampleness
+    gate at l = 2, then l up to both speciality gates, then d >= 6g - 5."""
+    g = draw(st.integers(10, gmax))  # kk_margin(g, 3, 2) >= 0 needs g >= 10
+    t = draw(st.integers(3, 3 + math.isqrt(g)))
+    assume(kk_margin(g, t, 2) >= 0)
+    l_max = min(
+        (g - 1) // (t - 1) + 1,  # (l-1)(t-1) < g, i.e. l <= a - 1
+        (2 * g - (t - 1) - t * (t - 1)) // (t * (t - 1)),  # kk_margin(g, t, l) >= 0
+    )
+    l = draw(st.integers(2, l_max))
+    return GonalParams(g=g, t=t, l=l, d=6 * g - 5 + draw(st.integers(0, 10**6)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(gp=large_gonal_params())
+def test_difference_is_zero_at_l2_and_positive_above(gp):
+    # very-ampleness with t >= 3 gives g >= t(l+1) + 1
+    diff = z_vs_h_difference(gp)
+    if gp.l == 2:
+        assert diff == 0
+    else:
+        assert diff >= (gp.l - 2) * (gp.l + 2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gp=large_gonal_params())
+def test_z_dimension_matches_parameter_count_at_large_genus(gp):
+    zs = enumerate_z_components(gp.d, gp.g, gp.l)
+    assert gp in zs
+    for z in zs:
+        assert z_component_dimension(z) == z_dim_via_parameter_count(z)
 
 
 def test_h_formula_matches_component_dimension_formula():

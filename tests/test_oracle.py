@@ -9,17 +9,24 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scrollhilb
 from grids import scroll_grid
 from scrollhilb import (
+    ScrollParams,
     component_dimension,
+    component_dimension_formula,
     dim_via_parameter_count,
+    h0_explicit,
     make_gonal_params,
     make_scroll,
+    min_degree_threshold,
     z_component_dimension,
     z_dim_via_parameter_count,
 )
+from scrollhilb.series import special_series_degree_bounds
 
 
 def test_bullet_sum_examples():
@@ -51,6 +58,19 @@ def test_oracle_covers_both_extension_regimes():
 def test_oracle_agreement_on_grid():
     for p, m in scroll_grid(18):
         assert dim_via_parameter_count(p, m) == component_dimension(p, m)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), g=st.integers(3, 10**6))
+def test_three_dimension_forms_agree_at_large_genus(data, g):
+    h1 = data.draw(st.integers(1, max(1, g // 4)))  # general moduli: g >= 4*h1, or (3, 1)
+    lo, hi = special_series_degree_bounds(g, h1)
+    m = data.draw(st.integers(lo, hi))
+    d = min_degree_threshold(g, h1) + data.draw(st.integers(0, 8 * g))
+    p = ScrollParams(d, g, h1)
+    dim = component_dimension_formula(d, g, h1, m)
+    assert h0_explicit(p, m) == dim
+    assert dim_via_parameter_count(p, m) == dim
 
 
 def test_z_oracle_rejects_a_special_twist():

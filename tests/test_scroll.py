@@ -112,6 +112,13 @@ def test_two_threshold_forms_agree():
             assert section_uniqueness_threshold(g, h1) == general_moduli_threshold(g, h1)
 
 
+@settings(derandomize=True, max_examples=300)
+@given(data=st.data(), g=st.integers(3, 10**6))
+def test_two_threshold_forms_agree_at_large_genus(data, g):
+    h1 = data.draw(st.integers(1, g - 1))
+    assert section_uniqueness_threshold(g, h1) == general_moduli_threshold(g, h1)
+
+
 def test_section_data_examples():
     s = section_data(make_scroll(10, 3, 1), 4)
     assert (s.h, s.gamma_sq, s.degN, s.t_ext) == (2, -2, 6, 0)

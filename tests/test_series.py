@@ -16,7 +16,11 @@ from scrollhilb import (
     rho_of_bundle,
     riemann_roch_h0,
 )
-from scrollhilb.series import special_series_degree_bounds
+from scrollhilb.series import (
+    _has_general_moduli,
+    _section_degree_range,
+    special_series_degree_bounds,
+)
 
 
 def max_special_degree_by_enumeration(g: int, h1: int) -> tuple[int, int]:
@@ -130,3 +134,29 @@ def test_degree_bounds_special_case_and_gate():
     with pytest.raises(InvalidParameters) as exc:
         special_series_degree_bounds(6, 2)
     assert exc.value.code == "BN1-violated"
+
+
+def test_has_general_moduli_examples():
+    assert _has_general_moduli(3, 1) and _has_general_moduli(4, 1)
+    assert _has_general_moduli(8, 2) and not _has_general_moduli(7, 2)
+    assert not _has_general_moduli(19, 5) and _has_general_moduli(20, 5)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(g=st.integers(-2, 10**6), h1=st.integers(1, 10**6))
+def test_has_general_moduli_fails_for_every_larger_speciality(g, h1):
+    # scan stops at the first h1 >= 1 without general moduli
+    if not _has_general_moduli(g, h1):
+        assert not _has_general_moduli(g, h1 + 1)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(data=st.data(), g=st.integers(3, 10**6))
+def test_has_general_moduli_is_exactly_the_bn1_gate(data, g):
+    near_gate = st.integers(max(1, g // 4 - 1), min(g - 1, g // 4 + 1))
+    h1 = data.draw(st.one_of(st.integers(1, g - 1), near_gate))
+    if _has_general_moduli(g, h1):
+        _section_degree_range(g, h1)
+    else:
+        with pytest.raises(InvalidParameters, match="^BN1-violated: "):
+            _section_degree_range(g, h1)

@@ -57,3 +57,53 @@ def test_components_catches_no_invalid_parameters():
         if isinstance(node, ast.ExceptHandler) and node.type is not None
     ]
     assert not [h for h in handlers if "InvalidParameters" in h]
+
+
+def _is_four_times_a_name(node: ast.AST) -> bool:
+    """``4 * x`` or ``x * 4`` with ``x`` a name or an attribute."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    for four, x in ((node.left, node.right), (node.right, node.left)):
+        if (
+            isinstance(four, ast.Constant)
+            and four.value == 4
+            and isinstance(x, (ast.Name, ast.Attribute))
+        ):
+            return True
+    return False
+
+
+class _FourTimesComparisons(ast.NodeVisitor):
+    """Dotted names of the functions holding a comparison against ``4 * x``."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.sites: list[str] = []
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Compare(self, node: ast.Compare) -> None:
+        if any(_is_four_times_a_name(x) for x in (node.left, *node.comparators)):
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_general_moduli_condition_is_stated_once():
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _FourTimesComparisons(path.stem)
+        visitor.visit(_tree(path))
+        sites += visitor.sites
+    assert sites == ["series._has_general_moduli"]
+
+
+def test_scan_catches_nothing():
+    (scan,) = [
+        node
+        for node in ast.walk(_tree(SRC / "cli.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "cmd_scan"
+    ]
+    assert not [node for node in ast.walk(scan) if isinstance(node, ast.Try)]
