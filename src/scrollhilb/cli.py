@@ -193,7 +193,7 @@ def cmd_gonal(args, stdout, stderr) -> int:
         gp = gonalmod.GonalParams(g=args.g, t=args.t, l=args.l, d=args.d)
 
     dim_z = gonalmod.z_component_dimension(gp)
-    dim_h = gonalmod.h_component_dimension_at_gonal_m(gp, require_existence=False)
+    dim_h = gonalmod.h_component_dimension_at_gonal_m(gp)
     diff = gonalmod.z_vs_h_difference(gp)
     kk_equality = gonalmod.kk_margin(gp.g, gp.t, gp.l) == 0
     record = {

@@ -15,10 +15,10 @@ inequality is checked in one function.  A scroll is checked in this order:
     7  not-a-section                  m - g + h1 < 2            scroll._require_section
     8  nonnegative-self-intersection  2m - d >= 0               scroll._require_section
 
-Codes 5 and ``no-general-moduli-component`` negate ``series._has_general_moduli``;
-``scan`` classifies only the cells where it holds and d reaches the threshold,
-and exits 2 on an error there.  README.md lists every code, with the other
-bounds of codes 1, 3 and 6.
+Code 5 negates ``series._has_general_moduli``; ``scan`` classifies only the
+cells where it holds and d reaches the threshold, and exits 2 on an error
+there.  README.md lists every code, with the other bounds of codes 1, 3
+and 6.
 """
 
 from __future__ import annotations

@@ -141,20 +141,16 @@ def z_component_dimension(gp: GonalParams) -> int:
     return R1 * R1 + 8 * (gp.g - 1) - 4 - gp.d - 2 * gp.t * (gp.l - 2)
 
 
-def h_component_dimension_at_gonal_m(gp: GonalParams, require_existence: bool = True) -> int:
+def h_component_dimension_at_gonal_m(gp: GonalParams) -> int:
     """Dimension formula of the general-moduli component with the same
     speciality, evaluated at the gonal section degree m = 2g - 2 - (l-1)t:
 
         (10 - l)(g - 1) - d - l^2 + t(l-1)(l-2) + (R+1)^2
 
-    The component itself exists only when g >= 4l; with
-    ``require_existence=False`` the formula value is returned regardless,
-    which is what the dimension comparison against Z(t, l) uses.
+    The comparison against Z(t, l) uses the formula for every valid
+    Z(t, l); the component itself exists only where
+    ``series._has_general_moduli(g, l)`` holds (g >= 4l).
     """
-    if require_existence and not _has_general_moduli(gp.g, gp.l):
-        raise InvalidParameters(
-            "no-general-moduli-component", f"g = {gp.g} < 4l = {4 * gp.l}"
-        )
     R1 = gp.R + 1
     return (
         (10 - gp.l) * (gp.g - 1)

@@ -77,13 +77,17 @@ def y_dim_lower_bound(pp: ProjectionParams) -> int:
 
 
 def y_vs_target_difference(pp: ProjectionParams) -> int:
-    """Margin (l-k)(d-m-g+1-k-l) by which the projected family exceeds the
-    speciality-k component of the same section degree.
+    """Margin (l-k)(d-m-g+1-k-l) of the projected family over the
+    speciality-k dimension formula at the same section degree.
 
-    Positive values certify that the projections fill a component different
-    from every speciality-k general-moduli component.  Defined for k > 0, or
-    for k = 0 with l > 1; the remaining case (k = 0, l = 1) is the divisor
-    case, handled by :func:`divisor_case`.
+    The margin is k(l-k) below the difference
+    ``y_dim_lower_bound(pp) - component_dimension_formula(d, g, k, m)``, so a
+    positive value certifies, conservatively, that the projections fill a
+    component different from every speciality-k general-moduli component.
+    ``m`` may lie outside the speciality-k range, where the formula is not
+    the dimension of a component.  Defined for k > 0, or for k = 0 with
+    l > 1; the remaining case (k = 0, l = 1) is the divisor case, handled by
+    :func:`divisor_case`.
     """
     if pp.k == 0 and pp.l == 1:
         raise InvalidParameters(

@@ -63,17 +63,15 @@ class SectionData:
     """Numerical data of the unique special section of degree ``m``.
 
     ``t_ext`` is the rank of the space of extensions of the section's line
-    bundle by its complement (None when the general-N convention is not in
-    force, in which case it is indeterminate); ``basepoints_residual`` counts
-    base points of the residual series of the section.
+    bundle by its complement, under the general-N convention.  Base points
+    of the residual series enter through :func:`normal_bundle_cohomology`.
     """
 
     m: int
     h: int
     gamma_sq: int
     degN: int
-    t_ext: int | None
-    basepoints_residual: int = 0
+    t_ext: int
 
 
 @dataclass(frozen=True)
@@ -100,18 +98,13 @@ def make_scroll(d: int, g: int, h1: int) -> ScrollParams:
     return ScrollParams(d, g, h1)
 
 
-def cone_speciality_bound(g: int, detF_special: bool = False) -> int:
+def cone_speciality_bound(g: int) -> int:
     """Upper bound ``g`` for the speciality of a scroll with non-special
     determinant; equality forces a cone once ``d >= 2g + 2``.
 
     Scrolls with special determinant (degree <= 2g - 2) are outside the
-    working range and rejected.
+    working range.
     """
-    if detF_special:
-        raise InvalidParameters(
-            "strongly-special-out-of-scope",
-            "special determinant (d <= 2g - 2) is not supported",
-        )
     return g
 
 
@@ -192,17 +185,17 @@ def _bundle_class(p: ScrollParams, m: int) -> BundleClass:
     return BundleClass.UNSTABLE
 
 
-def section_data(p: ScrollParams, m: int, general_N: bool = True) -> SectionData:
+def section_data(p: ScrollParams, m: int) -> SectionData:
     """Numerical data of the special section of degree ``m`` on the scroll.
 
     The section spans a P^h with ``h = m - g + h1``, has self-intersection
     ``2m - d`` (required to be negative) and complement of degree ``d - m``.
-    Under the general-N convention the extension-space rank is
+    The general-N convention gives the extension-space rank
     ``max(0, g - 1 - (d - 2m))``.
     """
     require_admissible(p, m)
     h, gamma_sq = _require_section(p, m)
-    t_ext = h1_general_line_bundle(p.g, p.d - 2 * m) if general_N else None
+    t_ext = h1_general_line_bundle(p.g, p.d - 2 * m)
     return SectionData(m=m, h=h, gamma_sq=gamma_sq, degN=p.d - m, t_ext=t_ext)
 
 
@@ -260,10 +253,12 @@ def h0_explicit(p: ScrollParams, m: int) -> int:
     return 5 * (p.g - 1) + R1 * R1 - p.h1 * h0L - chi_NL
 
 
-def aut_dimension(p: ScrollParams, m: int, decomposable: bool) -> int:
+def aut_dimension(p: ScrollParams, m: int) -> int:
     """Dimension of the projectivity group fixing the scroll.
 
     Equals h0 of the general twist of degree d - 2m, plus one when the
-    bundle is decomposable.
+    bundle is decomposable (:func:`stability_class`, which also validates
+    the section).
     """
+    decomposable = stability_class(p, m) is BundleClass.UNSTABLE_DECOMPOSABLE
     return h0_general_line_bundle(p.g, p.d - 2 * m) + (1 if decomposable else 0)

@@ -104,7 +104,7 @@ def test_criterion_04_gonal_worked_example():
     failures = []
     gp = make_gonal_params(19, 3, 5, 110)
     dim_z = z_component_dimension(gp)
-    dim_h = h_component_dimension_at_gonal_m(gp, require_existence=False)
+    dim_h = h_component_dimension_at_gonal_m(gp)
     diff = z_vs_h_difference(gp)
     if dim_z != 6253:
         failures.append(("dimZ", dim_z))

@@ -1,0 +1,51 @@
+"""The public surface: which parameters it takes, and the README's example."""
+
+from __future__ import annotations
+
+import ast
+import inspect
+import re
+from pathlib import Path
+
+import scrollhilb
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _bool_parameters() -> list[str]:
+    found = []
+    for name in sorted(dir(scrollhilb)):
+        fn = getattr(scrollhilb, name)
+        if name.startswith("_") or not inspect.isfunction(fn):
+            continue
+        for param in inspect.signature(fn).parameters.values():
+            if param.annotation in (bool, "bool") or isinstance(param.default, bool):
+                found.append(f"{name}({param.name})")
+    return found
+
+
+def test_the_only_flag_is_classify_include_gonal():
+    # every other choice is fixed by the hypotheses or derived from the inputs
+    assert _bool_parameters() == ["classify(include_gonal)"]
+
+
+def _library_block() -> str:
+    text = README.read_text()
+    section = text[text.index("## Library") :]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs():
+    source = _library_block()
+    lines = source.splitlines()
+    namespace: dict = {}
+    checked = []
+    for stmt in ast.parse(source).body:
+        code = "\n".join(lines[stmt.lineno - 1 : stmt.end_lineno])
+        comment = re.search(r"#\s*(-?\d+)\s*$", lines[stmt.end_lineno - 1])
+        if isinstance(stmt, ast.Expr) and comment:
+            checked.append((int(comment.group(1)), eval(code, namespace)))
+        else:
+            exec(code, namespace)
+    assert [got for _, got in checked] == [want for want, _ in checked]
+    assert len(checked) == 3  # 56, 56 and 6253

@@ -277,7 +277,6 @@ def library_transcript():
                     yield rec(scroll.require_admissible, p, m)
                     yield rec(lib.stability_class, p, m)
                     yield rec(lib.section_data, p, m)
-                    yield rec(lib.section_data, p, m, False)
                     yield rec(lib.component_dimension, p, m)
                     yield rec(lib.normal_bundle_cohomology, p, m)
                     yield rec(lib.normal_bundle_cohomology, p, m, -1)
@@ -288,8 +287,8 @@ def library_transcript():
                         yield rec(lib.ProjectionParams, d, g, h1, k, m)
 
 
-LIBRARY_LINES = 166259
-LIBRARY_DIGEST = "9ef8dd6dd1bf35978962bd4740902f3cc6f8e0f66f142489f600a5c52645c094"
+LIBRARY_LINES = 153601
+LIBRARY_DIGEST = "b9ee5bab9514d934909b645894ccd2cd2efa21806896d85959628334ca08aac5"
 
 
 def test_library_transcript_golden():

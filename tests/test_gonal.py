@@ -179,10 +179,7 @@ def test_z_component_dimension_examples():
 
 def test_h_component_dimension_examples():
     gp = make_gonal_params(19, 3, 5, 110)
-    with pytest.raises(InvalidParameters) as exc:
-        h_component_dimension_at_gonal_m(gp)  # g = 19 < 4l = 20
-    assert exc.value.code == "no-general-moduli-component"
-    assert h_component_dimension_at_gonal_m(gp, require_existence=False) == 6232
+    assert h_component_dimension_at_gonal_m(gp) == 6232
     gp = make_gonal_params(20, 3, 5, 115)
     assert h_component_dimension_at_gonal_m(gp) == 6715
 
@@ -196,9 +193,7 @@ def test_z_vs_h_difference_examples():
 def test_difference_is_exactly_the_dimension_gap():
     for gp in gonal_grid():
         lhs = z_vs_h_difference(gp)
-        rhs = z_component_dimension(gp) - h_component_dimension_at_gonal_m(
-            gp, require_existence=False
-        )
+        rhs = z_component_dimension(gp) - h_component_dimension_at_gonal_m(gp)
         assert lhs == rhs
         # non-negative under the very-ampleness gate, so the gonal component
         # is never contained in a general-moduli one
@@ -242,7 +237,7 @@ def test_z_dimension_matches_parameter_count_at_large_genus(gp):
 
 def test_h_formula_matches_component_dimension_formula():
     for gp in gonal_grid():
-        assert h_component_dimension_at_gonal_m(gp, require_existence=False) == (
+        assert h_component_dimension_at_gonal_m(gp) == (
             component_dimension_formula(gp.d, gp.g, gp.l, gp.m)
         )
 

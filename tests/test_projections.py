@@ -4,11 +4,14 @@ and the divisor case."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grids import degree_values, speciality_values
 from scrollhilb import (
     InvalidParameters,
     admissible_m_range,
+    component_dimension_formula,
     divisor_case,
     make_projection_params,
     min_degree_threshold,
@@ -16,6 +19,7 @@ from scrollhilb import (
     y_vs_nonspecial_difference,
     y_vs_target_difference,
 )
+from scrollhilb.series import special_series_degree_bounds
 
 
 def y_param_count(d: int, g: int, l: int, k: int, m: int) -> int:
@@ -137,3 +141,17 @@ def test_new_component_margins_on_grid():
                     if l > 1:
                         pp = make_projection_params(d, g, l, 0, m)
                         assert y_vs_nonspecial_difference(pp) >= 0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), g=st.integers(8, 10**6))
+def test_target_margin_is_k_times_l_minus_k_below_the_formula_gap(data, g):
+    # l >= 2 has general moduli for g >= 4l, so every k in [0, l) is defined
+    l = data.draw(st.integers(2, g // 4))
+    lo, hi = special_series_degree_bounds(g, l)
+    m = data.draw(st.integers(lo, hi))
+    d = min_degree_threshold(g, l) + data.draw(st.integers(0, 8 * g))
+    k = data.draw(st.integers(0, l - 1))
+    pp = make_projection_params(d, g, l, k, m)
+    gap = y_dim_lower_bound(pp) - component_dimension_formula(d, g, k, m)
+    assert gap - y_vs_target_difference(pp) == k * (l - k)

@@ -93,11 +93,8 @@ def test_cohomology_triple_check_fires_under_optimize():
 
 
 def test_cone_speciality_bound():
-    assert cone_speciality_bound(5, False) == 5
-    assert cone_speciality_bound(3, False) == 3
-    with pytest.raises(InvalidParameters) as exc:
-        cone_speciality_bound(4, True)
-    assert exc.value.code == "strongly-special-out-of-scope"
+    assert cone_speciality_bound(5) == 5
+    assert cone_speciality_bound(3) == 3
 
 
 def test_min_degree_threshold():
@@ -122,7 +119,6 @@ def test_two_threshold_forms_agree_at_large_genus(data, g):
 def test_section_data_examples():
     s = section_data(make_scroll(10, 3, 1), 4)
     assert (s.h, s.gamma_sq, s.degN, s.t_ext) == (2, -2, 6, 0)
-    assert s.basepoints_residual == 0
     s = section_data(make_scroll(29, 8, 2), 9)
     assert (s.h, s.gamma_sq, s.degN, s.t_ext) == (3, -11, 20, 0)
 
@@ -146,11 +142,6 @@ def test_section_data_range_errors():
     with pytest.raises(InvalidParameters) as exc:
         section_data(make_scroll(50, 6, 2), 7)  # g < 4*h1
     assert exc.value.code == "BN1-violated"
-
-
-def test_section_data_without_generality_convention():
-    s = section_data(make_scroll(10, 3, 1), 4, general_N=False)
-    assert s.t_ext is None
 
 
 def test_section_invariants_on_grid():
@@ -242,7 +233,10 @@ def test_canonical_section_is_unobstructed():
 
 
 def test_aut_dimension_examples():
-    assert aut_dimension(make_scroll(110, 19, 5), 24, decomposable=True) == 45
-    assert aut_dimension(make_scroll(29, 8, 2), 9, decomposable=True) == 5
-    assert aut_dimension(make_scroll(10, 3, 1), 4, decomposable=True) == 1
-    assert aut_dimension(make_scroll(10, 3, 1), 4, decomposable=False) == 0
+    assert aut_dimension(make_scroll(110, 19, 5), 24) == 45
+    assert aut_dimension(make_scroll(29, 8, 2), 9) == 5
+    assert aut_dimension(make_scroll(10, 3, 1), 4) == 1
+    # m = 14 = d/2 on (28, 8, 1): the section check of stability_class fires
+    with pytest.raises(InvalidParameters) as exc:
+        aut_dimension(make_scroll(28, 8, 1), 14)
+    assert exc.value.code == "nonnegative-self-intersection"
