@@ -8,8 +8,9 @@ Subcommands:
 * ``project``  -- projected-family dimension bounds and the divisor case
 
 Exit codes: 0 success, 2 invalid input (diagnostic on stderr), 3 internal
-cross-check failure under ``--verify``, 1 reserved for unexpected faults.
-Output is byte-deterministic: same flags, same bytes.
+cross-check failure under ``--verify``, 141 when the reader of stdout closes
+it early (as a shell reports death by SIGPIPE), 1 reserved for unexpected
+faults.  Output is byte-deterministic: same flags, same bytes.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import components as comp
 from . import gonal as gonalmod
@@ -52,9 +55,59 @@ def _emit_csv(stdout, columns: list[str], rows: list[dict]) -> None:
     writer.writerows([_cell(row[c]) for c in columns] for row in rows)
 
 
-def _emit_json(stdout, doc) -> None:
-    stdout.write(json.dumps(doc, indent=2))
-    stdout.write("\n")
+# One component row as json.dumps(doc, indent=2) lays it out in the row list of
+# a top-level object; "notes", the one list-valued column, comes last.
+_SCALAR_COLUMNS = COMPONENT_COLUMNS[:-1]
+_ROW = (
+    "    {\n"
+    + "".join(f'      "{c}": %s,\n' for c in _SCALAR_COLUMNS)
+    + '      "notes": %s\n    }'
+)
+_ROW_LISTS = ("rows", "components")  # the keys whose lists hold component rows
+
+
+def _json_scalar(value) -> str:
+    cls = value.__class__
+    if cls is int:
+        return int.__repr__(value)
+    if cls is str:
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value)
+
+
+def _json_notes(notes: list[str]) -> str:
+    if not notes:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(_json_str, notes)) + "\n      ]"
+
+
+def _emit_json(stdout, doc: dict) -> None:
+    """Write the bytes of ``json.dumps(doc, indent=2)`` and a newline.  The
+    component rows under "rows" and "components" are rendered from ``_ROW``
+    and written one at a time; every other value goes through ``json.dumps``,
+    indented one level (JSON strings hold no raw newline)."""
+    write = stdout.write
+    sep = "{\n  "
+    for key, value in doc.items():
+        write(f"{sep}{_json_str(key)}: ")
+        sep = ",\n  "
+        if key not in _ROW_LISTS or not value:
+            write(json.dumps(value, indent=2).replace("\n", "\n  "))
+            continue
+        row_sep = "[\n"
+        for row in value:
+            write(row_sep)
+            write(_ROW % (*[_json_scalar(row[c]) for c in _SCALAR_COLUMNS],
+                          _json_notes(row["notes"])))
+            row_sep = ",\n"
+        write("\n  ]")
+    write("\n}\n")
 
 
 def _emit(args, stdout, doc, rows: list[dict], columns: list[str]) -> int:
@@ -337,7 +390,15 @@ def run(argv: list[str], stdout, stderr) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:], sys.stdout, sys.stderr))
+    try:
+        code = run(sys.argv[1:], sys.stdout, sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # interpreter's own flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,11 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrollhilb import InvalidParameters, ScrollParams, classify, min_degree_threshold
-from scrollhilb.cli import COMPONENT_COLUMNS, run
+from scrollhilb.cli import COMPONENT_COLUMNS, _emit_json, run
 from scrollhilb.series import _has_general_moduli
 
 
@@ -280,3 +285,58 @@ def test_help_reaches_the_given_stdout(monkeypatch):
     assert (code, err) == (0, "")
     assert out.startswith("usage: scrollhilb classify [-h] --d D --g G --h1 H1")
     assert "--gonal" in out
+
+
+# text that reaches every escape of the ASCII encoder: quote, backslash,
+# control characters, non-ASCII, astral and lone-surrogate code points
+_TEXT = st.text() | st.text(
+    st.sampled_from('a "\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'))
+_INT = st.integers(-10**30, 10**30)
+_SCALAR = st.none() | st.booleans() | _INT | _TEXT
+_NOTES = st.lists(_TEXT, max_size=4)
+_ROWS = st.lists(
+    st.builds(lambda values, notes: dict(zip(COMPONENT_COLUMNS, [*values, notes])),
+              st.lists(_SCALAR, min_size=len(COMPONENT_COLUMNS) - 1,
+                       max_size=len(COMPONENT_COLUMNS) - 1),
+              _NOTES),
+    max_size=4,
+)
+_REPORT_DOCS = st.builds(
+    lambda params, rows, flags, notes: {
+        "params": dict(zip(("d", "g", "h1", "R"), params)),
+        "components": rows,
+        "reducible": flags[0],
+        "equidimensional": flags[1],
+        "complete": flags[2],
+        "notes": [{"code": code, "text": text} for code, text in notes],
+    },
+    st.tuples(_INT, _INT, _INT, _INT),
+    _ROWS,
+    st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    st.lists(st.tuples(_TEXT, _TEXT), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(lambda rows: {"rows": rows}, _ROWS) | _REPORT_DOCS)
+def test_json_writer_is_byte_exact_json_dumps(doc):
+    out = io.StringIO()
+    _emit_json(out, doc)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_reader_closing_stdout_early_exits_141_without_traceback(fmt):
+    # 1.3 MB of JSON, 0.7 MB of CSV: far more than a pipe buffers, so the
+    # writer is still writing when the reader goes away
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "scrollhilb", "scan", "--g", "3..60", "--h1", "1..60",
+            "--d", "355", "--gonal", "--format", fmt]
+    with subprocess.Popen(argv, env={"PYTHONPATH": src}, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert len(head) == 100
+    assert (code, err) == (141, b"")
