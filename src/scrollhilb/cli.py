@@ -11,6 +11,12 @@ Exit codes: 0 success, 2 invalid input (diagnostic on stderr), 3 internal
 cross-check failure under ``--verify``, 141 when the reader of stdout closes
 it early (as a shell reports death by SIGPIPE), 1 reserved for unexpected
 faults.  Output is byte-deterministic: same flags, same bytes.
+
+``scan`` classifies, verifies and writes one cell at a time, so its memory
+does not grow with the grid.  When it fails on a cell (exit 2 or 3), stdout
+holds the rows of the cells before that cell and is left unterminated: a JSON
+document without its closing brackets.  The other commands write nothing to
+stdout before a failure.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from contextlib import redirect_stderr, redirect_stdout
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -49,7 +56,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit_csv(stdout, columns: list[str], rows: list[dict]) -> None:
+def _emit_csv(stdout, columns: list[str], rows: Iterable[dict]) -> None:
     writer = csv.writer(stdout)  # RFC-4180 quoting and CRLF line ends
     writer.writerow(columns)
     writer.writerows([_cell(row[c]) for c in columns] for row in rows)
@@ -89,15 +96,17 @@ def _json_notes(notes: list[str]) -> str:
 
 def _emit_json(stdout, doc: dict) -> None:
     """Write the bytes of ``json.dumps(doc, indent=2)`` and a newline.  The
-    component rows under "rows" and "components" are rendered from ``_ROW``
-    and written one at a time; every other value goes through ``json.dumps``,
-    indented one level (JSON strings hold no raw newline)."""
+    component rows under "rows" and "components" may be any iterable, a
+    one-shot generator included; each is rendered from ``_ROW`` and written as
+    it comes, so when the iterable raises, stdout ends after the last whole
+    row.  Every other value goes through ``json.dumps``, indented one level
+    (JSON strings hold no raw newline)."""
     write = stdout.write
     sep = "{\n  "
     for key, value in doc.items():
         write(f"{sep}{_json_str(key)}: ")
         sep = ",\n  "
-        if key not in _ROW_LISTS or not value:
+        if key not in _ROW_LISTS:
             write(json.dumps(value, indent=2).replace("\n", "\n  "))
             continue
         row_sep = "[\n"
@@ -106,11 +115,11 @@ def _emit_json(stdout, doc: dict) -> None:
             write(_ROW % (*[_json_scalar(row[c]) for c in _SCALAR_COLUMNS],
                           _json_notes(row["notes"])))
             row_sep = ",\n"
-        write("\n  ]")
+        write("\n  ]" if row_sep == ",\n" else "[]")
     write("\n}\n")
 
 
-def _emit(args, stdout, doc, rows: list[dict], columns: list[str]) -> int:
+def _emit(args, stdout, doc, rows: Iterable[dict], columns: list[str]) -> int:
     """Write ``doc`` as JSON, or ``rows`` under ``columns`` as CSV."""
     if args.format == "csv":
         _emit_csv(stdout, columns, rows)
@@ -159,9 +168,14 @@ def _report_doc(report: comp.ClassificationReport) -> dict:
     }
 
 
-def _verify_report(report: comp.ClassificationReport, stderr) -> bool:
+class _VerifyMismatch(Exception):
+    """A closed form disagreed with the parameter-count oracle: ``run`` writes
+    the message (one line per disagreement) to stderr and exits 3."""
+
+
+def _verify_report(report: comp.ClassificationReport) -> None:
     """Recompute every component dimension via the parameter-count oracle."""
-    ok = True
+    mismatches = []
     for rec in report.components:
         if rec.kind is comp.ComponentKind.GENERAL_MODULI:
             check = oracle.dim_via_parameter_count(report.params, rec.m)
@@ -169,12 +183,12 @@ def _verify_report(report: comp.ClassificationReport, stderr) -> bool:
             gp = gonalmod.GonalParams(g=rec.g, t=rec.t, l=rec.l, d=rec.d)
             check = oracle.z_dim_via_parameter_count(gp)
         if check != rec.dim:
-            ok = False
-            stderr.write(
+            mismatches.append(
                 f"verify: mismatch at (d={rec.d}, g={rec.g}, h1={rec.h1}, "
                 f"m={rec.m}): closed form {rec.dim}, parameter count {check}\n"
             )
-    return ok
+    if mismatches:
+        raise _VerifyMismatch("".join(mismatches))
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -200,24 +214,54 @@ def _parse_degree_policy(policy: str) -> tuple[int | None, list[int]]:
         raise InvalidParameters("malformed-degree-policy", str(exc)) from None
 
 
-def cmd_classify(args, stdout, stderr) -> int:
+def cmd_classify(args, stdout) -> int:
     p = ScrollParams(args.d, args.g, args.h1)
     report = comp.classify(p, include_gonal=args.gonal)
-    if args.verify and not _verify_report(report, stderr):
-        return 3
+    if args.verify:
+        _verify_report(report)
     doc = _report_doc(report)
     return _emit(args, stdout, doc, doc["components"], COMPONENT_COLUMNS)
 
 
-def cmd_scan(args, stdout, stderr) -> int:
+class _Rows:
+    """A one-shot iterable over rows that counts them as they pass; ``len``
+    is the count so far (the benchmark's tracer reads it after the write)."""
+
+    def __init__(self, rows: Iterable[dict]):
+        self._rows = rows
+        self._count = 0
+
+    def __iter__(self) -> Iterator[dict]:
+        for row in self._rows:
+            self._count += 1
+            yield row
+
+    def __len__(self) -> int:
+        return self._count
+
+
+def cmd_scan(args, stdout) -> int:
     g_lo, g_hi = _parse_range(args.g)
     h1_lo, h1_hi = _parse_range(args.h1)
     offset, degrees = _parse_degree_policy(args.d)
+    # a cell with components has threshold >= 3g + 1, so no degree d keeps a
+    # cell of genus above (d - 1) // 3, and a negative offset keeps no cell
+    if offset is None:
+        g_hi = min(g_hi, (degrees[-1] - 1) // 3)
+    elif offset < 0:
+        g_hi = g_lo - 1
+    rows = _Rows(_scan_rows(args, range(g_lo, g_hi + 1), range(max(h1_lo, 1), h1_hi + 1),
+                            offset, degrees))
+    return _emit(args, stdout, {"rows": rows}, rows, COMPONENT_COLUMNS)
 
+
+def _scan_rows(args, genera: range, specialities: range, offset: int | None,
+               degrees: list[int]) -> Iterator[dict]:
+    """The rows of the kept cells in (g, h1, d) order, one cell at a time:
+    a cell is classified and verified when the writer asks for its rows."""
     # classify only the cells with components (there the threshold is >= 2g + 2)
-    rows: list[dict] = []
-    for g in range(g_lo, g_hi + 1):
-        for h1 in range(max(h1_lo, 1), h1_hi + 1):
+    for g in genera:
+        for h1 in specialities:
             if not _has_general_moduli(g, h1):
                 break  # nor for any larger h1; this covers g < 3 and h1 >= g
             threshold = min_degree_threshold(g, h1)
@@ -225,13 +269,12 @@ def cmd_scan(args, stdout, stderr) -> int:
                 if d < threshold:
                     continue
                 report = comp.classify(ScrollParams(d, g, h1), include_gonal=args.gonal)
-                if args.verify and not _verify_report(report, stderr):
-                    return 3
-                rows.extend(_component_rows(report))
-    return _emit(args, stdout, {"rows": rows}, rows, COMPONENT_COLUMNS)
+                if args.verify:
+                    _verify_report(report)
+                yield from _component_rows(report)
 
 
-def cmd_gonal(args, stdout, stderr) -> int:
+def cmd_gonal(args, stdout) -> int:
     given = [k for k in ("g", "t", "d") if getattr(args, k) is not None]
     if args.family_19608:
         if given:
@@ -271,15 +314,14 @@ def cmd_gonal(args, stdout, stderr) -> int:
     if args.verify:
         check = oracle.z_dim_via_parameter_count(gp)
         if check != dim_z:
-            stderr.write(
+            raise _VerifyMismatch(
                 f"verify: mismatch at Z(t={gp.t}, l={gp.l}): closed form "
                 f"{dim_z}, parameter count {check}\n"
             )
-            return 3
     return _emit(args, stdout, record, [record], list(record))
 
 
-def cmd_project(args, stdout, stderr) -> int:
+def cmd_project(args, stdout) -> int:
     pp = proj.ProjectionParams(d=args.d, g=args.g, l=args.l, k=args.k, m=args.m)
     y_lb = proj.y_dim_lower_bound(pp)
     is_divisor = pp.l == 1 and pp.k == 0 and pp.m == 2 * pp.g - 2
@@ -313,11 +355,10 @@ def cmd_project(args, stdout, stderr) -> int:
             record["new_component_certified"] = diff > 0
 
     if args.verify and is_divisor and record["y_dim"] != y_lb:
-        stderr.write(
+        raise _VerifyMismatch(
             f"verify: divisor-case mismatch: lower bound {y_lb}, "
             f"exact dimension {record['y_dim']}\n"
         )
-        return 3
     return _emit(args, stdout, record, [record], list(record))
 
 
@@ -383,10 +424,13 @@ def run(argv: list[str], stdout, stderr) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args, stdout, stderr)
+        return args.func(args, stdout)
     except InvalidParameters as exc:
         stderr.write(f"{exc}\n")
         return 2
+    except _VerifyMismatch as exc:
+        stderr.write(str(exc))
+        return 3
 
 
 def main() -> None:

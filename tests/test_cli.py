@@ -5,16 +5,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scrollhilb import InvalidParameters, ScrollParams, classify, min_degree_threshold
-from scrollhilb.cli import COMPONENT_COLUMNS, _emit_json, run
+from scrollhilb.cli import COMPONENT_COLUMNS, _component_rows, _emit_json, run
 from scrollhilb.series import _has_general_moduli
 
 
@@ -235,9 +237,29 @@ def test_scan_cell_rule_is_exactly_where_classify_succeeds():
                 assert kept == _classify_accepts(d, g, h1), (d, g, h1)
 
 
+def output_before_cell(complete: str, fmt: str, cell: tuple[int, int]) -> str:
+    """The bytes of a complete scan output up to the first row of ``cell``
+    (g, h1): the header and every row before it, unterminated.  JSON is
+    re-encoded through ``json.dumps`` rather than cut from ``complete``."""
+    if fmt == "csv":
+        lines = complete.splitlines(keepends=True)
+        rows = list(csv.reader(io.StringIO(complete)))
+        assert len(rows) == len(lines)  # no cell holds a line break
+        k = next(i for i, r in enumerate(rows) if i and (int(r[2]), int(r[3])) == cell)
+        return "".join(lines[:k])
+    rows = json.loads(complete)["rows"]
+    k = next(i for i, r in enumerate(rows) if (r["g"], r["h1"]) == cell)
+    text = json.dumps({"rows": rows[:k]}, indent=2)
+    prefix = text.removesuffix("\n  ]\n}") if k else text.removesuffix("[]\n}")
+    assert complete.startswith(prefix)
+    return prefix
+
+
 def test_scan_reports_an_error_on_a_kept_cell(monkeypatch):
     import scrollhilb.cli as cli_module
 
+    argv = ("scan", "--g", "3..10", "--h1", "1..2", "--d", "min")
+    complete = invoke(*argv)[1]
     real = cli_module.comp.classify
 
     def classify_failing_at_8_2(p, include_gonal=False):
@@ -246,8 +268,69 @@ def test_scan_reports_an_error_on_a_kept_cell(monkeypatch):
         return real(p, include_gonal=include_gonal)
 
     monkeypatch.setattr(cli_module.comp, "classify", classify_failing_at_8_2)
-    code, out, err = invoke("scan", "--g", "3..10", "--h1", "1..2", "--d", "min")
-    assert (code, out, err) == (2, "", "m-out-of-range: injected\n")
+    code, out, err = invoke(*argv)
+    assert (code, err) == (2, "m-out-of-range: injected\n")
+    # the rows of the cells before (8, 2), left unterminated
+    assert out == output_before_cell(complete, "json", (8, 2))
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_writes_each_cell_before_classifying_the_next(fmt, monkeypatch):
+    import scrollhilb.cli as cli_module
+
+    real = cli_module.comp.classify
+    out, calls = io.StringIO(), []
+
+    def recording_classify(p, include_gonal=False):
+        calls.append(((p.g, p.h1), len(out.getvalue())))
+        return real(p, include_gonal=include_gonal)
+
+    monkeypatch.setattr(cli_module.comp, "classify", recording_classify)
+    argv = ["scan", "--g", "3..12", "--h1", "1..2", "--d", "min", "--format", fmt]
+    assert run(argv, out, io.StringIO()) == 0
+    complete = out.getvalue()
+    assert len(calls) > 1
+    assert calls[-1][1] > calls[0][1]
+    for cell, written in calls:
+        assert written == len(output_before_cell(complete, fmt, cell))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_memory_does_not_grow_with_the_grid(fmt):
+    # the 55,161 rows of this grid, all held at once, peak at about 42 MiB;
+    # one cell at a time stays under 0.5 MiB
+    argv = ["scan", "--g", "3..200", "--h1", "1..200", "--d", "1204", "--gonal",
+            "--verify", "--format", fmt]
+    with open(os.devnull, "w", newline="") as sink:
+        tracemalloc.start()
+        try:
+            code = run(argv, sink, io.StringIO())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("policy", ["1", "9,10", "28,40", "31,120,36", "+-1", "+0", "+2"])
+def test_bounded_scan_writes_what_the_full_walk_writes(policy):
+    # the full walk: every (g, h1, d) of the grid, kept by the cell rule
+    rows = []
+    for g in range(0, 41):
+        for h1 in range(1, 13):
+            if not _has_general_moduli(g, h1):
+                continue
+            thr = min_degree_threshold(g, h1)
+            degrees = [thr + int(policy[1:])] if policy[0] == "+" else map(int, policy.split(","))
+            for d in sorted(degrees):
+                if d >= thr:
+                    rows += _component_rows(classify(ScrollParams(d, g, h1), include_gonal=True))
+    expected = io.StringIO()
+    _emit_json(expected, {"rows": rows})
+    code, out, err = invoke("scan", "--g", "0..40", "--h1=-1..12", "--d", policy, "--gonal")
+    assert (code, out, err) == (0, expected.getvalue(), "")
 
 
 def test_scan_skips_genus_two_under_every_degree_policy():
@@ -319,10 +402,15 @@ _REPORT_DOCS = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(st.builds(lambda rows: {"rows": rows}, _ROWS) | _REPORT_DOCS)
+@example({"rows": []})
 def test_json_writer_is_byte_exact_json_dumps(doc):
-    out = io.StringIO()
-    _emit_json(out, doc)
-    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+    # the rows given as a list, and as a one-shot generator (as scan does)
+    one_shot = {k: (r for r in v) if k in ("rows", "components") else v
+                for k, v in doc.items()}
+    for given_doc in (doc, one_shot):
+        out = io.StringIO()
+        _emit_json(out, given_doc)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -18,6 +18,7 @@ import pytest
 
 import scrollhilb as lib
 from scrollhilb import cli, components, projections, scroll, series
+from test_cli import output_before_cell
 
 
 def _digest(value) -> str:
@@ -195,12 +196,13 @@ def _off_by_one_at_g9(p, m):
     return dim + 1 if p.g == 9 else dim
 
 
-# Exit 3 under --verify: the oracle disagrees on every record of g = 9.
+# Exit 3 under --verify: the oracle disagrees on every record of g = 9.  A
+# scan has written the rows of every cell before (9, 1) by then.
 VERIFY_GOLDEN = {
     "scan --g 3..40 --h1 1..10 --d +2 --verify":
-        "ab2a73c18819d612416cf248a8abdcc73bafbe845454956683d675dbc5419a9c",
+        "7271a3f37118855c88a41384b9992f2daa18618b830d7fa6cd1e25161304f2f9",
     "scan --g 3..40 --h1 1..10 --d +2 --verify --gonal --format csv":
-        "ab2a73c18819d612416cf248a8abdcc73bafbe845454956683d675dbc5419a9c",
+        "9f765ae7ec6421bf38c34c843c5600acac0a6bbb3998780066e23b1037fcee17",
     "classify --d 40 --g 9 --h1 1 --verify":
         "1813e12809c4b706d25188892a1b4011d8529105018fca1a92c48ecf755ad0d3",
 }
@@ -208,8 +210,15 @@ VERIFY_GOLDEN = {
 
 @pytest.mark.parametrize("argv", sorted(VERIFY_GOLDEN))
 def test_cli_verify_failure_golden(argv, monkeypatch):
+    complete = _run(argv.split())[1]
     monkeypatch.setattr(cli.oracle, "dim_via_parameter_count", _off_by_one_at_g9)
-    assert _digest(_run(argv.split())) == VERIFY_GOLDEN[argv]
+    result = _run(argv.split())
+    assert _digest(result) == VERIFY_GOLDEN[argv]
+    if argv.startswith("scan"):
+        fmt = "csv" if "--format csv" in argv else "json"
+        assert result[1] == output_before_cell(complete, fmt, (9, 1))
+    else:
+        assert result[1] == ""
 
 
 def _call(fn, *args):

@@ -29,6 +29,7 @@ from scrollhilb import (
     section_uniqueness_threshold,
     stability_class,
 )
+from scrollhilb.series import _has_general_moduli
 
 
 def test_make_scroll_examples():
@@ -114,6 +115,15 @@ def test_two_threshold_forms_agree():
 def test_two_threshold_forms_agree_at_large_genus(data, g):
     h1 = data.draw(st.integers(1, g - 1))
     assert section_uniqueness_threshold(g, h1) == general_moduli_threshold(g, h1)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(data=st.data(), g=st.integers(3, 10**6))
+def test_threshold_of_a_cell_with_components_exceeds_three_g(data, g):
+    # scan stops its genus walk at (max degree - 1) // 3 on this bound
+    h1 = data.draw(st.integers(1, max(1, g // 4)))
+    assert _has_general_moduli(g, h1)
+    assert min_degree_threshold(g, h1) >= 3 * g + 1
 
 
 def test_section_data_examples():
