@@ -36,7 +36,7 @@ from . import oracle
 from . import projections as proj
 from .errors import InvalidParameters
 from .scroll import ScrollParams, min_degree_threshold
-from .series import _has_general_moduli
+from .series import _first_general_moduli_genus, _has_general_moduli
 
 COMPONENT_COLUMNS = [
     "kind", "d", "g", "h1", "m", "t", "l", "dim",
@@ -119,21 +119,8 @@ def _emit_json(stdout, doc: dict) -> None:
     write("\n}\n")
 
 
-def _emit(args, stdout, doc, rows: Iterable[dict], columns: list[str]) -> int:
-    """Write ``doc`` as JSON, or ``rows`` under ``columns`` as CSV."""
-    if args.format == "csv":
-        _emit_csv(stdout, columns, rows)
-    else:
-        _emit_json(stdout, doc)
-    return 0
-
-
 def _component_rows(report: comp.ClassificationReport) -> list[dict]:
-    """One row per component record, carrying the texts of the notes anchored
-    at its (m, t, l), in report order."""
-    notes: dict = {}
-    for n in report.notes:
-        notes.setdefault((n.m, n.t, n.l), []).append(n.text)
+    """One row per component record, carrying the texts of its notes."""
     return [
         {
             "kind": rec.kind.value,
@@ -146,7 +133,7 @@ def _component_rows(report: comp.ClassificationReport) -> list[dict]:
             "dim": rec.dim,
             "generically_smooth": rec.generically_smooth,
             "bundle_class": rec.bundle_class.value if rec.bundle_class else None,
-            "notes": notes.get((rec.m, rec.t, rec.l), []),
+            "notes": [n.text for n in rec.notes],
         }
         for rec in report.components
     ]
@@ -160,11 +147,7 @@ def _report_doc(report: comp.ClassificationReport) -> dict:
         "reducible": report.reducible,
         "equidimensional": report.equidimensional,
         "complete": report.complete,
-        "notes": [
-            {"code": n.code, "text": n.text}
-            for n in report.notes
-            if n.m is None and n.t is None and n.l is None
-        ],
+        "notes": [{"code": n.code, "text": n.text} for n in report.notes],
     }
 
 
@@ -214,13 +197,12 @@ def _parse_degree_policy(policy: str) -> tuple[int | None, list[int]]:
         raise InvalidParameters("malformed-degree-policy", str(exc)) from None
 
 
-def cmd_classify(args, stdout) -> int:
+def cmd_classify(args) -> dict:
     p = ScrollParams(args.d, args.g, args.h1)
     report = comp.classify(p, include_gonal=args.gonal)
     if args.verify:
         _verify_report(report)
-    doc = _report_doc(report)
-    return _emit(args, stdout, doc, doc["components"], COMPONENT_COLUMNS)
+    return _report_doc(report)
 
 
 class _Rows:
@@ -240,19 +222,21 @@ class _Rows:
         return self._count
 
 
-def cmd_scan(args, stdout) -> int:
+def cmd_scan(args) -> dict:
     g_lo, g_hi = _parse_range(args.g)
     h1_lo, h1_hi = _parse_range(args.h1)
     offset, degrees = _parse_degree_policy(args.d)
-    # a cell with components has threshold >= 3g + 1, so no degree d keeps a
+    h1_lo = max(h1_lo, 1)
+    # no genus below the first with general moduli at h1_lo has a cell; a
+    # cell with components has threshold >= 3g + 1, so no degree d keeps a
     # cell of genus above (d - 1) // 3, and a negative offset keeps no cell
+    g_lo = max(g_lo, _first_general_moduli_genus(h1_lo))
     if offset is None:
         g_hi = min(g_hi, (degrees[-1] - 1) // 3)
     elif offset < 0:
         g_hi = g_lo - 1
-    rows = _Rows(_scan_rows(args, range(g_lo, g_hi + 1), range(max(h1_lo, 1), h1_hi + 1),
-                            offset, degrees))
-    return _emit(args, stdout, {"rows": rows}, rows, COMPONENT_COLUMNS)
+    return {"rows": _Rows(_scan_rows(args, range(g_lo, g_hi + 1),
+                                     range(h1_lo, h1_hi + 1), offset, degrees))}
 
 
 def _scan_rows(args, genera: range, specialities: range, offset: int | None,
@@ -274,7 +258,7 @@ def _scan_rows(args, genera: range, specialities: range, offset: int | None,
                 yield from _component_rows(report)
 
 
-def cmd_gonal(args, stdout) -> int:
+def cmd_gonal(args) -> dict:
     given = [k for k in ("g", "t", "d") if getattr(args, k) is not None]
     if args.family_19608:
         if given:
@@ -318,10 +302,10 @@ def cmd_gonal(args, stdout) -> int:
                 f"verify: mismatch at Z(t={gp.t}, l={gp.l}): closed form "
                 f"{dim_z}, parameter count {check}\n"
             )
-    return _emit(args, stdout, record, [record], list(record))
+    return record
 
 
-def cmd_project(args, stdout) -> int:
+def cmd_project(args) -> dict:
     pp = proj.ProjectionParams(d=args.d, g=args.g, l=args.l, k=args.k, m=args.m)
     y_lb = proj.y_dim_lower_bound(pp)
     is_divisor = pp.l == 1 and pp.k == 0 and pp.m == 2 * pp.g - 2
@@ -359,7 +343,7 @@ def cmd_project(args, stdout) -> int:
             f"verify: divisor-case mismatch: lower bound {y_lb}, "
             f"exact dimension {record['y_dim']}\n"
         )
-    return _emit(args, stdout, record, [record], list(record))
+    return record
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +408,15 @@ def run(argv: list[str], stdout, stderr) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args, stdout)
+        doc = args.func(args)
+        rows_key = next((key for key in _ROW_LISTS if key in doc), None)
+        if args.format == "json":
+            _emit_json(stdout, doc)
+        elif rows_key is None:
+            _emit_csv(stdout, list(doc), [doc])  # a record without rows: one row
+        else:
+            _emit_csv(stdout, COMPONENT_COLUMNS, doc[rows_key])
+        return 0
     except InvalidParameters as exc:
         stderr.write(f"{exc}\n")
         return 2

@@ -34,12 +34,27 @@ class ComponentKind(enum.Enum):
 
 
 @dataclass(frozen=True)
+class ReportNote:
+    """One statement of the classification: a stable kebab-case ``code`` and
+    its text.  A note about one component sits on that component's record;
+    ``ClassificationReport.notes`` holds the statements about the whole
+    Hilbert scheme (closure containment, connectedness, completeness)."""
+
+    code: str
+    text: str
+
+
+@dataclass(frozen=True)
 class ComponentRecord:
     """One irreducible component of the Hilbert scheme.
 
     General-moduli records carry the section degree ``m`` and are always
     generically smooth; gonal records additionally carry (t, l) and leave
-    ``generically_smooth`` unasserted (None).
+    ``generically_smooth`` unasserted (None).  ``notes`` holds what the
+    classification states about this component alone: its boundary
+    self-intersection, singular locus and singular overlap, the speciality-1
+    subloci (on the single h1 = 1 record), or that a gonal Z(t, l) with
+    l >= 3 lies in no general-moduli component.
     """
 
     kind: ComponentKind
@@ -52,21 +67,7 @@ class ComponentRecord:
     bundle_class: BundleClass | None
     t: int | None = None
     l: int | None = None
-
-
-@dataclass(frozen=True)
-class ReportNote:
-    """Structured annotation attached to a classification report.
-
-    ``m`` (and ``t``, ``l`` for gonal components) anchor the note to a
-    component record; unanchored notes apply to the report as a whole.
-    """
-
-    code: str
-    text: str
-    m: int | None = None
-    t: int | None = None
-    l: int | None = None
+    notes: tuple[ReportNote, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -158,10 +159,12 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
     """Full component list of the Hilbert scheme at (d, g, h1).
 
     One general-moduli record per admissible section degree (a single one,
-    m = 2g - 2, for speciality 1, with the smaller degrees reported as
-    sublocus notes).  With ``include_gonal``, appends every valid gonal
-    component Z(t, h1); for speciality 2 this makes the classification
-    complete.  Records are ordered by increasing m, then by gonality.
+    m = 2g - 2, for speciality 1, whose notes report the smaller degrees as
+    subloci).  With ``include_gonal``, appends every valid gonal component
+    Z(t, h1); for speciality 2 this makes the classification complete.
+    Records are ordered by increasing m, then by gonality, and each carries
+    the notes about that component; the report's own notes are the
+    statements about the whole Hilbert scheme.
     """
     _degree_threshold(p.g, p.h1, p.d)
     lo, hi = _section_degree_range(p.g, p.h1)
@@ -170,24 +173,45 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
             f"classify: speciality-1 range ends at m = {hi}, not 2g - 2 = {2 * p.g - 2}"
         )
 
-    notes: list[ReportNote] = []
+    report_notes: list[ReportNote] = []
     records: list[ComponentRecord] = []
 
     # Past the checks above, every section has h = m - g + h1 >= 2; a
     # self-intersection 2m - d >= 0 is the one case left without a bundle class.
     for m in [hi] if p.h1 == 1 else range(lo, hi + 1):
+        notes: list[ReportNote] = []
         if 2 * m - p.d >= 0:
             bundle_class = None
-            notes.append(
-                ReportNote(
-                    code="boundary-self-intersection",
-                    text=f"section self-intersection 2m - d = {2 * m - p.d} >= 0; "
-                    "bundle class not asserted",
-                    m=m,
-                )
-            )
+            notes.append(ReportNote(
+                "boundary-self-intersection",
+                f"section self-intersection 2m - d = {2 * m - p.d} >= 0; "
+                "bundle class not asserted",
+            ))
         else:
             bundle_class = _bundle_class(p, m)
+        if p.h1 == 1:
+            notes += [
+                ReportNote(
+                    "sublocus-codim",
+                    f"scrolls with special section of degree {k} form a "
+                    f"sublocus of codimension {sublocus_codim_h1_1(p.g, k)}",
+                )
+                for k in range(lo, hi)
+            ]
+        else:
+            if singular_point_predicate(p.g, p.h1, m):
+                notes.append(ReportNote(
+                    "singular-locus",
+                    "scrolls whose residual series has base points are "
+                    "singular points of the Hilbert scheme",
+                ))
+            if m > lo:
+                notes.append(ReportNote(
+                    "singular-overlap",
+                    f"scrolls of this component whose minimal special section "
+                    f"has admissible degree below {m} lie on two components and "
+                    "are singular points",
+                ))
         records.append(
             ComponentRecord(
                 kind=ComponentKind.GENERAL_MODULI,
@@ -198,60 +222,34 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
                 dim=component_dimension_formula(p.d, p.g, p.h1, m),
                 generically_smooth=True,
                 bundle_class=bundle_class,
+                notes=tuple(notes),
             )
         )
-        if p.h1 > 1 and singular_point_predicate(p.g, p.h1, m):
-            notes.append(
-                ReportNote(
-                    code="singular-locus",
-                    text="scrolls whose residual series has base points are "
-                    "singular points of the Hilbert scheme",
-                    m=m,
-                )
-            )
 
     if p.h1 == 1:
-        for m in range(lo, hi):
-            notes.append(
-                ReportNote(
-                    code="sublocus-codim",
-                    text=f"scrolls with special section of degree {m} form a "
-                    f"sublocus of codimension {sublocus_codim_h1_1(p.g, m)}",
-                    m=hi,
-                )
-            )
-        notes.append(
+        report_notes += [
             ReportNote(
-                code="closure-containment",
-                text="every family with section degree below 2g - 2 lies in the "
+                "closure-containment",
+                "every family with section degree below 2g - 2 lies in the "
                 "closure of the canonical-section component",
-            )
-        )
-        notes.append(
-            ReportNote(code="connected", text="the Hilbert scheme locus is connected")
-        )
-    else:
-        for m in range(lo + 1, hi + 1):
-            notes.append(
-                ReportNote(
-                    code="singular-overlap",
-                    text=f"scrolls of this component whose minimal special section "
-                    f"has admissible degree below {m} lie on two components and "
-                    "are singular points",
-                    m=m,
-                )
-            )
+            ),
+            ReportNote("connected", "the Hilbert scheme locus is connected"),
+        ]
 
     if include_gonal:
         if p.h1 < 2:
-            notes.append(
-                ReportNote(
-                    code="no-gonal-components",
-                    text="gonal-curve components require speciality >= 2",
-                )
-            )
+            report_notes.append(ReportNote(
+                "no-gonal-components", "gonal-curve components require speciality >= 2"
+            ))
         else:
             for gp in enumerate_z_components(p.d, p.g, p.h1):
+                notes = []
+                if gp.l >= 3:  # then the excess is positive (z_vs_h_difference)
+                    notes.append(ReportNote(
+                        "not-contained",
+                        f"Z({gp.t},{gp.l}) is not contained in any general-moduli "
+                        f"component (dimension excess {z_vs_h_difference(gp)})",
+                    ))
                 records.append(
                     ComponentRecord(
                         kind=ComponentKind.GONAL,
@@ -264,28 +262,15 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
                         bundle_class=BundleClass.UNSTABLE_DECOMPOSABLE,
                         t=gp.t,
                         l=gp.l,
+                        notes=tuple(notes),
                     )
                 )
-                if gp.l >= 3:  # then the excess is positive (z_vs_h_difference)
-                    notes.append(
-                        ReportNote(
-                            code="not-contained",
-                            text=f"Z({gp.t},{gp.l}) is not contained in any "
-                            f"general-moduli component (dimension excess "
-                            f"{z_vs_h_difference(gp)})",
-                            m=gp.m,
-                            t=gp.t,
-                            l=gp.l,
-                        )
-                    )
             if p.h1 == 2:
-                notes.append(
-                    ReportNote(
-                        code="complete",
-                        text="general-moduli and gonal components exhaust the "
-                        "classification for speciality 2",
-                    )
-                )
+                report_notes.append(ReportNote(
+                    "complete",
+                    "general-moduli and gonal components exhaust the "
+                    "classification for speciality 2",
+                ))
 
     dims = [r.dim for r in records]
     complete = p.h1 == 1 or (p.h1 == 2 and include_gonal)
@@ -295,5 +280,5 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
         reducible=len(records) > 1,
         equidimensional=len(set(dims)) <= 1,
         complete=complete,
-        notes=notes,
+        notes=report_notes,
     )

@@ -115,7 +115,7 @@ class GonalParams:
             raise InvalidParameters(
                 "not-very-ample",
                 f"l*t*(t-1) = {self.l * self.t * (self.t - 1)} exceeds "
-                f"2g - (t-1) - t(t-1) = {2 * self.g - (self.t - 1) - self.t * (self.t - 1)}",
+                f"2g - (t-1) - t(t-1) = {kk_margin(self.g, self.t, 0)}",
             )
         if self.d < 6 * self.g - 5:
             raise InvalidParameters(

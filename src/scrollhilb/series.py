@@ -138,6 +138,12 @@ def _has_general_moduli(g: int, h1: int) -> bool:
     return g >= 4 * h1 or (g, h1) == (3, 1)
 
 
+def _first_general_moduli_genus(h1: int) -> int:
+    """The least g with :func:`_has_general_moduli` at speciality h1 >= 1,
+    which then holds for every larger g: 3 for h1 = 1, else 4*h1."""
+    return 3 if h1 == 1 else 4 * h1
+
+
 def _section_degree_range(g: int, h1: int, *ms: int) -> tuple[int, int]:
     """:func:`special_series_degree_bounds` of a pair with 0 < h1 < g;
     rejects each section degree in ``ms`` outside the range."""

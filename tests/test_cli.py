@@ -314,12 +314,17 @@ def test_scan_memory_does_not_grow_with_the_grid(fmt):
     assert peak < 2 * 2**20
 
 
-@pytest.mark.parametrize("policy", ["1", "9,10", "28,40", "31,120,36", "+-1", "+0", "+2"])
-def test_bounded_scan_writes_what_the_full_walk_writes(policy):
+@pytest.mark.parametrize(
+    ("policy", "h1_lo"),
+    [pytest.param(policy, -1, id=policy)
+     for policy in ["1", "9,10", "28,40", "31,120,36", "+-1", "+0", "+2"]]
+    + [pytest.param("+0", 3, id="+0,h1=3..12")],
+)
+def test_bounded_scan_writes_what_the_full_walk_writes(policy, h1_lo):
     # the full walk: every (g, h1, d) of the grid, kept by the cell rule
     rows = []
     for g in range(0, 41):
-        for h1 in range(1, 13):
+        for h1 in range(max(h1_lo, 1), 13):
             if not _has_general_moduli(g, h1):
                 continue
             thr = min_degree_threshold(g, h1)
@@ -329,8 +334,29 @@ def test_bounded_scan_writes_what_the_full_walk_writes(policy):
                     rows += _component_rows(classify(ScrollParams(d, g, h1), include_gonal=True))
     expected = io.StringIO()
     _emit_json(expected, {"rows": rows})
-    code, out, err = invoke("scan", "--g", "0..40", "--h1=-1..12", "--d", policy, "--gonal")
+    code, out, err = invoke("scan", "--g", "0..40", f"--h1={h1_lo}..12", "--d", policy, "--gonal")
     assert (code, out, err) == (0, expected.getvalue(), "")
+
+
+def test_scan_walks_no_genus_below_the_first_with_general_moduli(monkeypatch):
+    import scrollhilb.cli as cli_module
+
+    calls = []
+
+    def counting(g, h1):
+        calls.append((g, h1))
+        return _has_general_moduli(g, h1)
+
+    monkeypatch.setattr(cli_module, "_has_general_moduli", counting)
+    # no cell has g < 3, so the walk tests none of these 100,003 genera
+    code, out, err = invoke("scan", "--g=-100000..2", "--h1", "1..1", "--d", "min")
+    assert (code, out, err) == (0, '{\n  "rows": []\n}\n', "")
+    assert calls == []
+    # at h1 = 4000 the first genus with general moduli is 16,000
+    calls.clear()
+    code, out, _ = invoke("scan", "--g", "3..16001", "--h1", "4000..4000", "--d", "min")
+    assert code == 0 and [r["g"] for r in json.loads(out)["rows"]] == [16000, 16001]
+    assert calls == [(16000, 4000), (16001, 4000)]
 
 
 def test_scan_skips_genus_two_under_every_degree_policy():

@@ -3,11 +3,14 @@ singular-point predicates."""
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grids import degree_values, scroll_grid, speciality_values
+from grids import GMAX, degree_values, scroll_grid, speciality_values
 from scrollhilb import components
 from scrollhilb import (
     BundleClass,
@@ -26,6 +29,7 @@ from scrollhilb import (
     singular_point_predicate,
     sublocus_codim_h1_1,
 )
+from scrollhilb.cli import run
 
 
 def admissible_m_by_enumeration(g: int, h1: int) -> list[int]:
@@ -125,8 +129,9 @@ def test_classify_speciality_one():
 
 def test_classify_speciality_one_subloci():
     report = classify(make_scroll(40, 9, 1))
-    assert [rec.m for rec in report.components] == [16]
-    sub = [n for n in report.notes if n.code == "sublocus-codim"]
+    (rec,) = report.components
+    assert rec.m == 16
+    sub = [n for n in rec.notes if n.code == "sublocus-codim"]
     assert len(sub) == 5
     for note, (m, codim) in zip(sub, [(11, 5), (12, 4), (13, 3), (14, 2), (15, 1)]):
         assert f"degree {m} " in note.text and f"codimension {codim}" in note.text
@@ -181,7 +186,7 @@ def test_classify_high_speciality_never_claims_completeness():
     assert [rec.dim for rec in by_kind[ComponentKind.GENERAL_MODULI]] == [3617, 3616]
     (gz,) = by_kind[ComponentKind.GONAL]
     assert (gz.t, gz.l, gz.m, gz.dim) == (3, 3, 22, 3617)
-    assert any(n.code == "not-contained" for n in report.notes)
+    assert any(n.code == "not-contained" for n in gz.notes)
 
 
 def test_classify_boundary_self_intersection_note():
@@ -191,14 +196,50 @@ def test_classify_boundary_self_intersection_note():
         report = classify(ScrollParams(d, 9, 1))
         (rec,) = report.components
         assert (rec.m, rec.bundle_class) == (16, None)
-        boundary = [n for n in report.notes if n.code == "boundary-self-intersection"]
-        assert [(n.m, n.text) for n in boundary] == [
-            (16, f"section self-intersection 2m - d = {gamma_sq} >= 0; "
-                 "bundle class not asserted")
+        assert all(n.code != "boundary-self-intersection" for n in report.notes)
+        boundary = [n for n in rec.notes if n.code == "boundary-self-intersection"]
+        assert [n.text for n in boundary] == [
+            f"section self-intersection 2m - d = {gamma_sq} >= 0; bundle class not asserted"
         ]
     report = classify(ScrollParams(33, 9, 1))
-    assert report.components[0].bundle_class is BundleClass.UNSTABLE
-    assert all(n.code != "boundary-self-intersection" for n in report.notes)
+    (rec,) = report.components
+    assert rec.bundle_class is BundleClass.UNSTABLE
+    assert all(n.code != "boundary-self-intersection" for n in (*report.notes, *rec.notes))
+
+
+def expected_note_codes(rec, lo: int) -> list[str]:
+    """The codes of the notes about one component, from its kind and m (and
+    l), in the order classify writes them; ``lo`` is the least admissible m."""
+    if rec.kind is ComponentKind.GONAL:
+        return ["not-contained"] if rec.l >= 3 else []
+    codes = ["boundary-self-intersection"] if 2 * rec.m - rec.d >= 0 else []
+    if rec.h1 == 1:
+        return codes + ["sublocus-codim"] * (rec.m - lo)
+    if singular_point_predicate(rec.g, rec.h1, rec.m):
+        codes.append("singular-locus")
+    return codes + ["singular-overlap"] * (rec.m > lo)
+
+
+REPORT_WIDE_CODES = {"closure-containment", "connected", "no-gonal-components", "complete"}
+
+
+def test_each_record_carries_its_notes_and_the_report_only_report_wide_ones():
+    for g in range(3, GMAX + 1):
+        for h1 in speciality_values(g):
+            lo = admissible_m_range(g, h1)[0]
+            for d in degree_values(g, h1):
+                for gonal in (False, True):
+                    report = classify(ScrollParams(d, g, h1), include_gonal=gonal)
+                    for rec in report.components:
+                        assert [n.code for n in rec.notes] == expected_note_codes(rec, lo)
+                    assert {n.code for n in report.notes} <= REPORT_WIDE_CODES
+                    argv = f"classify --d {d} --g {g} --h1 {h1}" + " --gonal" * gonal
+                    out = io.StringIO()
+                    assert run(argv.split(), out, io.StringIO()) == 0
+                    rows = json.loads(out.getvalue())["components"]
+                    assert [r["notes"] for r in rows] == [
+                        [n.text for n in rec.notes] for rec in report.components
+                    ]
 
 
 def test_classify_checks_the_canonical_range_end(monkeypatch):

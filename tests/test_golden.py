@@ -297,7 +297,7 @@ def library_transcript():
 
 
 LIBRARY_LINES = 153601
-LIBRARY_DIGEST = "b9ee5bab9514d934909b645894ccd2cd2efa21806896d85959628334ca08aac5"
+LIBRARY_DIGEST = "609b6d6f2e7058c443cb01ef43e686301b569b3174a31557e32026226cb2182e"
 
 
 def test_library_transcript_golden():

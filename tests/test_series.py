@@ -17,6 +17,7 @@ from scrollhilb import (
     riemann_roch_h0,
 )
 from scrollhilb.series import (
+    _first_general_moduli_genus,
     _has_general_moduli,
     _section_degree_range,
     special_series_degree_bounds,
@@ -148,6 +149,16 @@ def test_has_general_moduli_fails_for_every_larger_speciality(g, h1):
     # scan stops at the first h1 >= 1 without general moduli
     if not _has_general_moduli(g, h1):
         assert not _has_general_moduli(g, h1 + 1)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(h1=st.integers(1, 3) | st.integers(1, 10**30), g=st.integers(-(10**31), 10**31),
+       near=st.integers(-3, 3))
+def test_general_moduli_start_exactly_at_the_first_genus(h1, g, near):
+    # the scan starts its genus walk at this bound
+    first = _first_general_moduli_genus(h1)
+    for genus in (g, first + near):
+        assert _has_general_moduli(genus, h1) == (genus >= first)
 
 
 @settings(derandomize=True, max_examples=300)
