@@ -12,11 +12,13 @@ cross-check failure under ``--verify``, 141 when the reader of stdout closes
 it early (as a shell reports death by SIGPIPE), 1 reserved for unexpected
 faults.  Output is byte-deterministic: same flags, same bytes.
 
-``scan`` classifies, verifies and writes one cell at a time, so its memory
-does not grow with the grid.  When it fails on a cell (exit 2 or 3), stdout
-holds the rows of the cells before that cell and is left unterminated: a JSON
-document without its closing brackets.  The other commands write nothing to
-stdout before a failure.
+Component rows are written straight from the ``ComponentRecord`` of each
+component, one fixed encoder per column; nothing sits between a record and
+its bytes.  ``scan`` classifies, verifies and writes one cell at a time, so
+its memory does not grow with the grid.  When it fails on a cell (exit 2 or
+3), stdout holds the rows of the cells before that cell and is left
+unterminated: a JSON document without its closing brackets.  The other
+commands write nothing to stdout before a failure.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from . import gonal as gonalmod
 from . import oracle
 from . import projections as proj
 from .errors import InvalidParameters
-from .scroll import ScrollParams, min_degree_threshold
+from .scroll import BundleClass, ScrollParams, min_degree_threshold
 from .series import _first_general_moduli_genus, _has_general_moduli
 
 COMPONENT_COLUMNS = [
@@ -56,51 +58,67 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit_csv(stdout, columns: list[str], rows: Iterable[dict]) -> None:
+# The JSON and CSV text of each value the kind, generically_smooth and
+# bundle_class columns take, keyed by identity: these values are singletons,
+# and hashing an Enum member is a Python-level call.
+_CONSTANTS = [None, True, False, *comp.ComponentKind, *BundleClass]
+_JSON_TEXT = {id(v): json.dumps(getattr(v, "value", v)) for v in _CONSTANTS}
+_CSV_TEXT = {id(v): _cell(getattr(v, "value", v)) for v in _CONSTANTS}
+
+
+def _csv_cells(rec: comp.ComponentRecord) -> list:
+    """The cells of one component row; csv.writer writes an int in decimal
+    and None (no t or l) as an empty cell, as ``_cell`` renders them."""
+    return [
+        _CSV_TEXT[id(rec.kind)], rec.d, rec.g, rec.h1, rec.m, rec.t, rec.l, rec.dim,
+        _CSV_TEXT[id(rec.generically_smooth)], _CSV_TEXT[id(rec.bundle_class)],
+        "; ".join([n.text for n in rec.notes]),
+    ]
+
+
+def _emit_csv(stdout, columns: list[str], rows: Iterable) -> None:
+    """Write a header and one line per row: ``rows`` holds component records
+    when ``columns`` is ``COMPONENT_COLUMNS``, and dicts keyed by ``columns``
+    otherwise."""
     writer = csv.writer(stdout)  # RFC-4180 quoting and CRLF line ends
     writer.writerow(columns)
-    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+    if columns is COMPONENT_COLUMNS:
+        writer.writerows(map(_csv_cells, rows))
+    else:
+        writer.writerows([_cell(row[c]) for c in columns] for row in rows)
 
 
-# One component row as json.dumps(doc, indent=2) lays it out in the row list of
-# a top-level object; "notes", the one list-valued column, comes last.
-_SCALAR_COLUMNS = COMPONENT_COLUMNS[:-1]
+# One component row, after the separator from the row before it, as
+# json.dumps(doc, indent=2) lays it out in the row list of a top-level object.
 _ROW = (
-    "    {\n"
-    + "".join(f'      "{c}": %s,\n' for c in _SCALAR_COLUMNS)
+    "%s    {\n"
+    + "".join(f'      "{c}": %s,\n' for c in COMPONENT_COLUMNS[:-1])
     + '      "notes": %s\n    }'
 )
 _ROW_LISTS = ("rows", "components")  # the keys whose lists hold component rows
 
 
-def _json_scalar(value) -> str:
-    cls = value.__class__
-    if cls is int:
-        return int.__repr__(value)
-    if cls is str:
-        return _json_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return json.dumps(value)
-
-
-def _json_notes(notes: list[str]) -> str:
-    if not notes:
-        return "[]"
-    return "[\n        " + ",\n        ".join(map(_json_str, notes)) + "\n      ]"
+def _json_row(sep: str, rec: comp.ComponentRecord) -> str:
+    """The JSON row of one component record, after ``sep``; ints format as
+    themselves under ``%s``."""
+    texts = [_json_str(n.text) for n in rec.notes]
+    notes = "[\n        " + ",\n        ".join(texts) + "\n      ]" if texts else "[]"
+    return _ROW % (
+        sep, _JSON_TEXT[id(rec.kind)], rec.d, rec.g, rec.h1, rec.m,
+        "null" if rec.t is None else rec.t, "null" if rec.l is None else rec.l, rec.dim,
+        _JSON_TEXT[id(rec.generically_smooth)], _JSON_TEXT[id(rec.bundle_class)], notes,
+    )
 
 
 def _emit_json(stdout, doc: dict) -> None:
-    """Write the bytes of ``json.dumps(doc, indent=2)`` and a newline.  The
-    component rows under "rows" and "components" may be any iterable, a
-    one-shot generator included; each is rendered from ``_ROW`` and written as
-    it comes, so when the iterable raises, stdout ends after the last whole
-    row.  Every other value goes through ``json.dumps``, indented one level
-    (JSON strings hold no raw newline)."""
+    """Write the bytes of ``json.dumps(doc, indent=2)`` and a newline, where
+    the component records under "rows" and "components" stand for their rows
+    (the dicts keyed by ``COMPONENT_COLUMNS``, notes as a list of texts).
+    Those records may come from any iterable, a one-shot generator included;
+    each row is rendered from ``_ROW`` and written as it comes, so when the
+    iterable raises, stdout ends after the last whole row.  Every other value
+    goes through ``json.dumps``, indented one level (JSON strings hold no raw
+    newline)."""
     write = stdout.write
     sep = "{\n  "
     for key, value in doc.items():
@@ -110,40 +128,18 @@ def _emit_json(stdout, doc: dict) -> None:
             write(json.dumps(value, indent=2).replace("\n", "\n  "))
             continue
         row_sep = "[\n"
-        for row in value:
-            write(row_sep)
-            write(_ROW % (*[_json_scalar(row[c]) for c in _SCALAR_COLUMNS],
-                          _json_notes(row["notes"])))
+        for rec in value:
+            write(_json_row(row_sep, rec))
             row_sep = ",\n"
         write("\n  ]" if row_sep == ",\n" else "[]")
     write("\n}\n")
-
-
-def _component_rows(report: comp.ClassificationReport) -> list[dict]:
-    """One row per component record, carrying the texts of its notes."""
-    return [
-        {
-            "kind": rec.kind.value,
-            "d": rec.d,
-            "g": rec.g,
-            "h1": rec.h1,
-            "m": rec.m,
-            "t": rec.t,
-            "l": rec.l,
-            "dim": rec.dim,
-            "generically_smooth": rec.generically_smooth,
-            "bundle_class": rec.bundle_class.value if rec.bundle_class else None,
-            "notes": [n.text for n in rec.notes],
-        }
-        for rec in report.components
-    ]
 
 
 def _report_doc(report: comp.ClassificationReport) -> dict:
     p = report.params
     return {
         "params": {"d": p.d, "g": p.g, "h1": p.h1, "R": p.R},
-        "components": _component_rows(report),
+        "components": report.components,
         "reducible": report.reducible,
         "equidimensional": report.equidimensional,
         "complete": report.complete,
@@ -206,14 +202,15 @@ def cmd_classify(args) -> dict:
 
 
 class _Rows:
-    """A one-shot iterable over rows that counts them as they pass; ``len``
-    is the count so far (the benchmark's tracer reads it after the write)."""
+    """A one-shot iterable over component records that counts them as they
+    pass; ``len`` is the count so far (the benchmark's tracer reads it after
+    the write)."""
 
-    def __init__(self, rows: Iterable[dict]):
+    def __init__(self, rows: Iterable[comp.ComponentRecord]):
         self._rows = rows
         self._count = 0
 
-    def __iter__(self) -> Iterator[dict]:
+    def __iter__(self) -> Iterator[comp.ComponentRecord]:
         for row in self._rows:
             self._count += 1
             yield row
@@ -229,20 +226,22 @@ def cmd_scan(args) -> dict:
     h1_lo = max(h1_lo, 1)
     # no genus below the first with general moduli at h1_lo has a cell; a
     # cell with components has threshold >= 3g + 1, so no degree d keeps a
-    # cell of genus above (d - 1) // 3, and a negative offset keeps no cell
+    # cell of genus above (d - 1) // 3; a negative offset, or no speciality
+    # >= 1, keeps no cell
     g_lo = max(g_lo, _first_general_moduli_genus(h1_lo))
     if offset is None:
         g_hi = min(g_hi, (degrees[-1] - 1) // 3)
-    elif offset < 0:
+    if h1_hi < h1_lo or (offset is not None and offset < 0):
         g_hi = g_lo - 1
     return {"rows": _Rows(_scan_rows(args, range(g_lo, g_hi + 1),
                                      range(h1_lo, h1_hi + 1), offset, degrees))}
 
 
 def _scan_rows(args, genera: range, specialities: range, offset: int | None,
-               degrees: list[int]) -> Iterator[dict]:
-    """The rows of the kept cells in (g, h1, d) order, one cell at a time:
-    a cell is classified and verified when the writer asks for its rows."""
+               degrees: list[int]) -> Iterator[comp.ComponentRecord]:
+    """The component records of the kept cells in (g, h1, d) order, one cell
+    at a time: a cell is classified and verified when the writer asks for
+    its records."""
     # classify only the cells with components (there the threshold is >= 2g + 2)
     for g in genera:
         for h1 in specialities:
@@ -255,7 +254,7 @@ def _scan_rows(args, genera: range, specialities: range, offset: int | None,
                 report = comp.classify(ScrollParams(d, g, h1), include_gonal=args.gonal)
                 if args.verify:
                     _verify_report(report)
-                yield from _component_rows(report)
+                yield from report.components
 
 
 def cmd_gonal(args) -> dict:

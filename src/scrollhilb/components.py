@@ -33,7 +33,7 @@ class ComponentKind(enum.Enum):
     GONAL = "gonal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportNote:
     """One statement of the classification: a stable kebab-case ``code`` and
     its text.  A note about one component sits on that component's record;
@@ -44,7 +44,7 @@ class ReportNote:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentRecord:
     """One irreducible component of the Hilbert scheme.
 
@@ -68,6 +68,14 @@ class ComponentRecord:
     t: int | None = None
     l: int | None = None
     notes: tuple[ReportNote, ...] = ()
+
+
+# the one note whose text depends on nothing, built once
+_SINGULAR_LOCUS = ReportNote(
+    "singular-locus",
+    "scrolls whose residual series has base points are "
+    "singular points of the Hilbert scheme",
+)
 
 
 @dataclass(frozen=True)
@@ -166,11 +174,12 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
     the notes about that component; the report's own notes are the
     statements about the whole Hilbert scheme.
     """
-    _degree_threshold(p.g, p.h1, p.d)
-    lo, hi = _section_degree_range(p.g, p.h1)
-    if p.h1 == 1 and hi != 2 * p.g - 2:
+    d, g, h1 = p.d, p.g, p.h1
+    _degree_threshold(g, h1, d)
+    lo, hi = _section_degree_range(g, h1)
+    if h1 == 1 and hi != 2 * g - 2:
         raise RuntimeError(
-            f"classify: speciality-1 range ends at m = {hi}, not 2g - 2 = {2 * p.g - 2}"
+            f"classify: speciality-1 range ends at m = {hi}, not 2g - 2 = {2 * g - 2}"
         )
 
     report_notes: list[ReportNote] = []
@@ -178,33 +187,29 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
 
     # Past the checks above, every section has h = m - g + h1 >= 2; a
     # self-intersection 2m - d >= 0 is the one case left without a bundle class.
-    for m in [hi] if p.h1 == 1 else range(lo, hi + 1):
+    for m in [hi] if h1 == 1 else range(lo, hi + 1):
         notes: list[ReportNote] = []
-        if 2 * m - p.d >= 0:
+        if 2 * m - d >= 0:
             bundle_class = None
             notes.append(ReportNote(
                 "boundary-self-intersection",
-                f"section self-intersection 2m - d = {2 * m - p.d} >= 0; "
+                f"section self-intersection 2m - d = {2 * m - d} >= 0; "
                 "bundle class not asserted",
             ))
         else:
             bundle_class = _bundle_class(p, m)
-        if p.h1 == 1:
+        if h1 == 1:
             notes += [
                 ReportNote(
                     "sublocus-codim",
                     f"scrolls with special section of degree {k} form a "
-                    f"sublocus of codimension {sublocus_codim_h1_1(p.g, k)}",
+                    f"sublocus of codimension {sublocus_codim_h1_1(g, k)}",
                 )
                 for k in range(lo, hi)
             ]
         else:
-            if singular_point_predicate(p.g, p.h1, m):
-                notes.append(ReportNote(
-                    "singular-locus",
-                    "scrolls whose residual series has base points are "
-                    "singular points of the Hilbert scheme",
-                ))
+            if singular_point_predicate(g, h1, m):
+                notes.append(_SINGULAR_LOCUS)
             if m > lo:
                 notes.append(ReportNote(
                     "singular-overlap",
@@ -212,21 +217,12 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
                     f"has admissible degree below {m} lie on two components and "
                     "are singular points",
                 ))
-        records.append(
-            ComponentRecord(
-                kind=ComponentKind.GENERAL_MODULI,
-                d=p.d,
-                g=p.g,
-                h1=p.h1,
-                m=m,
-                dim=component_dimension_formula(p.d, p.g, p.h1, m),
-                generically_smooth=True,
-                bundle_class=bundle_class,
-                notes=tuple(notes),
-            )
-        )
+        records.append(ComponentRecord(
+            ComponentKind.GENERAL_MODULI, d, g, h1, m, component_dimension_formula(d, g, h1, m),
+            True, bundle_class, None, None, tuple(notes),
+        ))
 
-    if p.h1 == 1:
+    if h1 == 1:
         report_notes += [
             ReportNote(
                 "closure-containment",
@@ -237,12 +233,12 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
         ]
 
     if include_gonal:
-        if p.h1 < 2:
+        if h1 < 2:
             report_notes.append(ReportNote(
                 "no-gonal-components", "gonal-curve components require speciality >= 2"
             ))
         else:
-            for gp in enumerate_z_components(p.d, p.g, p.h1):
+            for gp in enumerate_z_components(d, g, h1):
                 notes = []
                 if gp.l >= 3:  # then the excess is positive (z_vs_h_difference)
                     notes.append(ReportNote(
@@ -250,22 +246,11 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
                         f"Z({gp.t},{gp.l}) is not contained in any general-moduli "
                         f"component (dimension excess {z_vs_h_difference(gp)})",
                     ))
-                records.append(
-                    ComponentRecord(
-                        kind=ComponentKind.GONAL,
-                        d=p.d,
-                        g=p.g,
-                        h1=p.h1,
-                        m=gp.m,
-                        dim=z_component_dimension(gp),
-                        generically_smooth=None,
-                        bundle_class=BundleClass.UNSTABLE_DECOMPOSABLE,
-                        t=gp.t,
-                        l=gp.l,
-                        notes=tuple(notes),
-                    )
-                )
-            if p.h1 == 2:
+                records.append(ComponentRecord(
+                    ComponentKind.GONAL, d, g, h1, gp.m, z_component_dimension(gp),
+                    None, BundleClass.UNSTABLE_DECOMPOSABLE, gp.t, gp.l, tuple(notes),
+                ))
+            if h1 == 2:
                 report_notes.append(ReportNote(
                     "complete",
                     "general-moduli and gonal components exhaust the "
@@ -273,7 +258,7 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
                 ))
 
     dims = [r.dim for r in records]
-    complete = p.h1 == 1 or (p.h1 == 2 and include_gonal)
+    complete = h1 == 1 or (h1 == 2 and include_gonal)
     return ClassificationReport(
         params=p,
         components=records,

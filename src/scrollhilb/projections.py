@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameters
-from .scroll import ScrollParams, _degree_threshold, require_admissible
-from .series import _require_speciality
+from .scroll import _degree_threshold, _require_scroll
+from .series import _require_speciality, _section_degree_range
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,10 @@ class ProjectionParams:
             raise InvalidParameters(
                 "k-out-of-range", f"k = {self.k} not in [0, l) with l = {self.l}"
             )
-        require_admissible(ScrollParams(self.d, self.g, self.l), self.m)
+        # the checks of ScrollParams(d, g, l), then of require_admissible(., m)
+        _require_scroll(self.d, self.g, self.l)
+        _degree_threshold(self.g, self.l, self.d)
+        _section_degree_range(self.g, self.l, self.m)
 
     @property
     def r(self) -> int:
@@ -53,7 +56,7 @@ class DivisorCaseDims:
 
 
 def make_projection_params(d: int, g: int, l: int, k: int, m: int) -> ProjectionParams:
-    return ProjectionParams(d=d, g=g, l=l, k=k, m=m)
+    return ProjectionParams(d, g, l, k, m)
 
 
 def y_dim_lower_bound(pp: ProjectionParams) -> int:

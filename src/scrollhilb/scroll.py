@@ -31,6 +31,16 @@ class BundleClass(enum.Enum):
     UNSTABLE_DECOMPOSABLE = "unstable-decomposable"
 
 
+def _require_scroll(d: int, g: int, h1: int) -> None:
+    """Reject the first violated inequality of a scroll's (d, g, h1), in the
+    order genus, speciality, degree."""
+    if g < 3:
+        raise InvalidParameters("genus-too-small", f"g = {g} < 3")
+    _require_speciality(g, h1)
+    if d < 2 * g + 2:
+        raise InvalidParameters("degree-too-small", f"d = {d} < 2g + 2 = {2 * g + 2}")
+
+
 @dataclass(frozen=True)
 class ScrollParams:
     """Validated (degree, genus, speciality) triple of a special scroll.
@@ -44,13 +54,7 @@ class ScrollParams:
     h1: int
 
     def __post_init__(self):
-        if self.g < 3:
-            raise InvalidParameters("genus-too-small", f"g = {self.g} < 3")
-        _require_speciality(self.g, self.h1)
-        if self.d < 2 * self.g + 2:
-            raise InvalidParameters(
-                "degree-too-small", f"d = {self.d} < 2g + 2 = {2 * self.g + 2}"
-            )
+        _require_scroll(self.d, self.g, self.h1)
 
     @property
     def R(self) -> int:

@@ -16,7 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scrollhilb import InvalidParameters, ScrollParams, classify, min_degree_threshold
-from scrollhilb.cli import COMPONENT_COLUMNS, _component_rows, _emit_json, run
+from scrollhilb.cli import COMPONENT_COLUMNS, _cell, _emit_csv, _emit_json, run
+from scrollhilb.components import ComponentKind, ComponentRecord, ReportNote
+from scrollhilb.scroll import BundleClass
 from scrollhilb.series import _has_general_moduli
 
 
@@ -331,14 +333,15 @@ def test_bounded_scan_writes_what_the_full_walk_writes(policy, h1_lo):
             degrees = [thr + int(policy[1:])] if policy[0] == "+" else map(int, policy.split(","))
             for d in sorted(degrees):
                 if d >= thr:
-                    rows += _component_rows(classify(ScrollParams(d, g, h1), include_gonal=True))
+                    rows += classify(ScrollParams(d, g, h1), include_gonal=True).components
     expected = io.StringIO()
     _emit_json(expected, {"rows": rows})
     code, out, err = invoke("scan", "--g", "0..40", f"--h1={h1_lo}..12", "--d", policy, "--gonal")
     assert (code, out, err) == (0, expected.getvalue(), "")
 
 
-def test_scan_walks_no_genus_below_the_first_with_general_moduli(monkeypatch):
+def _record_general_moduli_calls(monkeypatch) -> list[tuple[int, int]]:
+    """The (g, h1) of each general-moduli test the scan makes, as it makes it."""
     import scrollhilb.cli as cli_module
 
     calls = []
@@ -348,6 +351,11 @@ def test_scan_walks_no_genus_below_the_first_with_general_moduli(monkeypatch):
         return _has_general_moduli(g, h1)
 
     monkeypatch.setattr(cli_module, "_has_general_moduli", counting)
+    return calls
+
+
+def test_scan_walks_no_genus_below_the_first_with_general_moduli(monkeypatch):
+    calls = _record_general_moduli_calls(monkeypatch)
     # no cell has g < 3, so the walk tests none of these 100,003 genera
     code, out, err = invoke("scan", "--g=-100000..2", "--h1", "1..1", "--d", "min")
     assert (code, out, err) == (0, '{\n  "rows": []\n}\n', "")
@@ -357,6 +365,16 @@ def test_scan_walks_no_genus_below_the_first_with_general_moduli(monkeypatch):
     code, out, _ = invoke("scan", "--g", "3..16001", "--h1", "4000..4000", "--d", "min")
     assert code == 0 and [r["g"] for r in json.loads(out)["rows"]] == [16000, 16001]
     assert calls == [(16000, 4000), (16001, 4000)]
+
+
+def test_scan_walks_no_genus_without_a_speciality_of_at_least_one(monkeypatch):
+    calls = _record_general_moduli_calls(monkeypatch)
+    # no cell has h1 < 1, so none of these 10**12 genera is walked
+    for h1_range in ("0..0", "-5..0"):
+        code, out, err = invoke("scan", "--g", "3..1000000000000", f"--h1={h1_range}",
+                                "--d", "min")
+        assert (code, out, err) == (0, '{\n  "rows": []\n}\n', "")
+    assert calls == []
 
 
 def test_scan_skips_genus_two_under_every_degree_policy():
@@ -401,42 +419,75 @@ def test_help_reaches_the_given_stdout(monkeypatch):
 _TEXT = st.text() | st.text(
     st.sampled_from('a "\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'))
 _INT = st.integers(-10**30, 10**30)
-_SCALAR = st.none() | st.booleans() | _INT | _TEXT
-_NOTES = st.lists(_TEXT, max_size=4)
-_ROWS = st.lists(
-    st.builds(lambda values, notes: dict(zip(COMPONENT_COLUMNS, [*values, notes])),
-              st.lists(_SCALAR, min_size=len(COMPONENT_COLUMNS) - 1,
-                       max_size=len(COMPONENT_COLUMNS) - 1),
-              _NOTES),
+_RECORDS = st.lists(
+    st.builds(
+        ComponentRecord,
+        st.sampled_from(ComponentKind), _INT, _INT, _INT, _INT, _INT,
+        st.none() | st.booleans(), st.none() | st.sampled_from(BundleClass),
+        st.none() | _INT, st.none() | _INT,
+        st.lists(st.builds(ReportNote, _TEXT, _TEXT), max_size=4).map(tuple),
+    ),
     max_size=4,
 )
 _REPORT_DOCS = st.builds(
-    lambda params, rows, flags, notes: {
+    lambda params, records, flags, notes: {
         "params": dict(zip(("d", "g", "h1", "R"), params)),
-        "components": rows,
+        "components": records,
         "reducible": flags[0],
         "equidimensional": flags[1],
         "complete": flags[2],
         "notes": [{"code": code, "text": text} for code, text in notes],
     },
     st.tuples(_INT, _INT, _INT, _INT),
-    _ROWS,
+    _RECORDS,
     st.tuples(st.booleans(), st.booleans(), st.booleans()),
     st.lists(st.tuples(_TEXT, _TEXT), max_size=3),
 )
 
 
+def _row_dict(rec: ComponentRecord) -> dict:
+    """The reference row of a component record: its fields under
+    COMPONENT_COLUMNS, enum members as their values, notes as their texts."""
+    return {
+        "kind": rec.kind.value,
+        "d": rec.d,
+        "g": rec.g,
+        "h1": rec.h1,
+        "m": rec.m,
+        "t": rec.t,
+        "l": rec.l,
+        "dim": rec.dim,
+        "generically_smooth": rec.generically_smooth,
+        "bundle_class": rec.bundle_class.value if rec.bundle_class else None,
+        "notes": [n.text for n in rec.notes],
+    }
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.builds(lambda rows: {"rows": rows}, _ROWS) | _REPORT_DOCS)
+@given(st.builds(lambda records: {"rows": records}, _RECORDS) | _REPORT_DOCS)
 @example({"rows": []})
 def test_json_writer_is_byte_exact_json_dumps(doc):
-    # the rows given as a list, and as a one-shot generator (as scan does)
-    one_shot = {k: (r for r in v) if k in ("rows", "components") else v
-                for k, v in doc.items()}
+    rows_key = "rows" if "rows" in doc else "components"
+    reference = doc | {rows_key: [_row_dict(rec) for rec in doc[rows_key]]}
+    # the records given as a list, and as a one-shot generator (as scan does)
+    one_shot = doc | {rows_key: (rec for rec in doc[rows_key])}
     for given_doc in (doc, one_shot):
         out = io.StringIO()
         _emit_json(out, given_doc)
-        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+        assert out.getvalue() == json.dumps(reference, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORDS)
+@example([])
+def test_csv_writer_is_csv_writer_of_the_cells(records):
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(COMPONENT_COLUMNS)
+    writer.writerows([_cell(row[c]) for c in COMPONENT_COLUMNS] for row in map(_row_dict, records))
+    out = io.StringIO()
+    _emit_csv(out, COMPONENT_COLUMNS, records)
+    assert out.getvalue() == expected.getvalue()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
