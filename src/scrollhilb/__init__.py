@@ -48,7 +48,6 @@ from .scroll import (
     ScrollParams,
     SectionData,
     aut_dimension,
-    cone_speciality_bound,
     general_moduli_threshold,
     h0_explicit,
     make_scroll,

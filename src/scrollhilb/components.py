@@ -14,7 +14,7 @@ makes it complete for speciality 2.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidParameters
 from .gonal import enumerate_z_components, z_component_dimension, z_vs_h_difference
@@ -33,8 +33,7 @@ class ComponentKind(enum.Enum):
     GONAL = "gonal"
 
 
-@dataclass(frozen=True, slots=True)
-class ReportNote:
+class ReportNote(NamedTuple):
     """One statement of the classification: a stable kebab-case ``code`` and
     its text.  A note about one component sits on that component's record;
     ``ClassificationReport.notes`` holds the statements about the whole
@@ -44,8 +43,7 @@ class ReportNote:
     text: str
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentRecord:
+class ComponentRecord(NamedTuple):
     """One irreducible component of the Hilbert scheme.
 
     General-moduli records carry the section degree ``m`` and are always
@@ -78,14 +76,13 @@ _SINGULAR_LOCUS = ReportNote(
 )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     params: ScrollParams
     components: list[ComponentRecord]
     reducible: bool
     equidimensional: bool
     complete: bool
-    notes: list[ReportNote] = field(default_factory=list)
+    notes: list[ReportNote]
 
 
 def admissible_m_range(g: int, h1: int) -> list[int]:

@@ -12,7 +12,7 @@ against the general-moduli components of the same speciality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidParameters
 from .series import SeriesSpec, _has_general_moduli, gonality_general
@@ -83,8 +83,16 @@ def special_residual_series(g: int, t: int, r: int) -> SeriesSpec:
     return SeriesSpec(g=g, m=m, h=g - r * (t - 1) - 1, i=r + 1)
 
 
-@dataclass(frozen=True)
-class GonalParams:
+class _GonalFields(NamedTuple):
+    g: int
+    t: int
+    l: int
+    d: int
+    a: int
+    m: int
+
+
+class GonalParams(_GonalFields):
     """Validated parameters of a gonal-curve component Z(t, l).
 
     ``a`` (the Ballico parameter) and the section degree
@@ -92,37 +100,44 @@ class GonalParams:
     genus, gonality, Ballico parameter, speciality, very-ampleness, degree.
     """
 
-    g: int
-    t: int
-    l: int
-    d: int
-    a: int = field(init=False)
-    m: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        gamma = gonality_general(self.g)  # rejects g < 3
-        if not 2 < self.t < gamma:
+    def __new__(cls, g: int, t: int, l: int, d: int):
+        gamma = gonality_general(g)  # rejects g < 3
+        if not 2 < t < gamma:
             raise InvalidParameters(
-                "gonality-out-of-range",
-                f"t = {self.t} not in (2, {gamma}) for g = {self.g}",
+                "gonality-out-of-range", f"t = {t} not in (2, {gamma}) for g = {g}"
             )
-        a = ballico_a(self.g, self.t)
-        if not 2 <= self.l <= a - 1:
-            raise InvalidParameters(
-                "l-out-of-range", f"l = {self.l} not in [2, {a - 1}]"
-            )
-        if not kk_very_ample(self.g, self.t, self.l):
+        a = ballico_a(g, t)
+        if not 2 <= l <= a - 1:
+            raise InvalidParameters("l-out-of-range", f"l = {l} not in [2, {a - 1}]")
+        if not kk_very_ample(g, t, l):
             raise InvalidParameters(
                 "not-very-ample",
-                f"l*t*(t-1) = {self.l * self.t * (self.t - 1)} exceeds "
-                f"2g - (t-1) - t(t-1) = {kk_margin(self.g, self.t, 0)}",
+                f"l*t*(t-1) = {l * t * (t - 1)} exceeds "
+                f"2g - (t-1) - t(t-1) = {kk_margin(g, t, 0)}",
             )
-        if self.d < 6 * self.g - 5:
-            raise InvalidParameters(
-                "degree-too-small", f"d = {self.d} < 6g - 5 = {6 * self.g - 5}"
-            )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "m", 2 * self.g - 2 - (self.l - 1) * self.t)
+        if d < 6 * g - 5:
+            raise InvalidParameters("degree-too-small", f"d = {d} < 6g - 5 = {6 * g - 5}")
+        return tuple.__new__(cls, (g, t, l, d, a, 2 * g - 2 - (l - 1) * t))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build from (g, t, l, d) through the constructor's checks; a and m,
+        when the iterable carries them (``_replace`` passes all six fields),
+        are derived again."""
+        g, t, l, d, *_ = iterable
+        return cls(g, t, l, d)
+
+    def _replace(self, /, **kwds):
+        """A copy with some of g, t, l, d replaced, checked as by the
+        constructor; a and m are derived again, never replaced."""
+        if "a" in kwds or "m" in kwds:
+            raise ValueError("a and m are derived from (g, t, l, d) and cannot be replaced")
+        return super()._replace(**kwds)
+
+    def __getnewargs__(self):
+        return self[:4]
 
     @property
     def R(self) -> int:

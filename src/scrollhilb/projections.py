@@ -12,15 +12,22 @@ exact dimension (one less than the non-special component containing it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameters
 from .scroll import _degree_threshold, _require_scroll
 from .series import _require_speciality, _section_degree_range
 
 
-@dataclass(frozen=True)
-class ProjectionParams:
+class _ProjectionFields(NamedTuple):
+    d: int
+    g: int
+    l: int
+    k: int
+    m: int
+
+
+class ProjectionParams(_ProjectionFields):
     """Source component (d, g, l, m) plus target speciality k < l.
 
     ``r = d - 2g + 1 + k`` is the target ambient dimension.  The source
@@ -28,29 +35,28 @@ class ProjectionParams:
     which gives r >= 3.
     """
 
-    d: int
-    g: int
-    l: int
-    k: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.k < self.l:
-            raise InvalidParameters(
-                "k-out-of-range", f"k = {self.k} not in [0, l) with l = {self.l}"
-            )
+    def __new__(cls, d: int, g: int, l: int, k: int, m: int):
+        if not 0 <= k < l:
+            raise InvalidParameters("k-out-of-range", f"k = {k} not in [0, l) with l = {l}")
         # the checks of ScrollParams(d, g, l), then of require_admissible(., m)
-        _require_scroll(self.d, self.g, self.l)
-        _degree_threshold(self.g, self.l, self.d)
-        _section_degree_range(self.g, self.l, self.m)
+        _require_scroll(d, g, l)
+        _degree_threshold(g, l, d)
+        _section_degree_range(g, l, m)
+        return tuple.__new__(cls, (d, g, l, k, m))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the constructor's checks; ``_replace`` calls this."""
+        return cls(*iterable)
 
     @property
     def r(self) -> int:
         return self.d - 2 * self.g + 1 + self.k
 
 
-@dataclass(frozen=True)
-class DivisorCaseDims:
+class DivisorCaseDims(NamedTuple):
     h_dim: int
     y_dim: int
 

@@ -18,7 +18,7 @@ opted into explicitly where they matter.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameters
 from .series import _require_speciality, _section_degree_range, clifford_index_general
@@ -41,20 +41,32 @@ def _require_scroll(d: int, g: int, h1: int) -> None:
         raise InvalidParameters("degree-too-small", f"d = {d} < 2g + 2 = {2 * g + 2}")
 
 
-@dataclass(frozen=True)
-class ScrollParams:
-    """Validated (degree, genus, speciality) triple of a special scroll.
-
-    Validation rejects the first violated inequality, in the order
-    genus, speciality, degree.  These give R >= 4.
-    """
-
+class _ScrollFields(NamedTuple):
     d: int
     g: int
     h1: int
 
-    def __post_init__(self):
-        _require_scroll(self.d, self.g, self.h1)
+
+class ScrollParams(_ScrollFields):
+    """Validated (degree, genus, speciality) triple of a special scroll.
+
+    Validation rejects the first violated inequality, in the order
+    genus, speciality, degree.  These give R >= 4.  The speciality stays
+    below g: a scroll with non-special determinant has speciality at most g,
+    and equality forces a cone once d >= 2g + 2.  Scrolls with special
+    determinant (degree <= 2g - 2) are outside the working range.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, g: int, h1: int):
+        _require_scroll(d, g, h1)
+        return tuple.__new__(cls, (d, g, h1))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the constructor's checks; ``_replace`` calls this."""
+        return cls(*iterable)
 
     @property
     def R(self) -> int:
@@ -62,8 +74,7 @@ class ScrollParams:
         return self.d - 2 * self.g + 1 + self.h1
 
 
-@dataclass(frozen=True)
-class SectionData:
+class SectionData(NamedTuple):
     """Numerical data of the unique special section of degree ``m``.
 
     ``t_ext`` is the rank of the space of extensions of the section's line
@@ -78,38 +89,36 @@ class SectionData:
     t_ext: int
 
 
-@dataclass(frozen=True)
-class CohomologyTriple:
-    """Cohomology of the normal bundle of a scroll in its ambient space."""
-
+class _CohomologyFields(NamedTuple):
     h0: int
     h1n: int
     h2: int
     chi: int
 
-    def __post_init__(self):
-        if self.h2 != 0:
-            raise InvalidParameters("cohomology-inconsistent", f"h2 = {self.h2} != 0")
-        if self.chi != self.h0 - self.h1n:
+
+class CohomologyTriple(_CohomologyFields):
+    """Cohomology of the normal bundle of a scroll in its ambient space."""
+
+    __slots__ = ()
+
+    def __new__(cls, h0: int, h1n: int, h2: int, chi: int):
+        if h2 != 0:
+            raise InvalidParameters("cohomology-inconsistent", f"h2 = {h2} != 0")
+        if chi != h0 - h1n:
             raise InvalidParameters(
-                "cohomology-inconsistent",
-                f"chi = {self.chi} != h0 - h1n = {self.h0 - self.h1n}",
+                "cohomology-inconsistent", f"chi = {chi} != h0 - h1n = {h0 - h1n}"
             )
+        return tuple.__new__(cls, (h0, h1n, h2, chi))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the constructor's checks; ``_replace`` calls this."""
+        return cls(*iterable)
 
 
 def make_scroll(d: int, g: int, h1: int) -> ScrollParams:
     """Validate (d, g, h1) and return the scroll parameter record."""
     return ScrollParams(d, g, h1)
-
-
-def cone_speciality_bound(g: int) -> int:
-    """Upper bound ``g`` for the speciality of a scroll with non-special
-    determinant; equality forces a cone once ``d >= 2g + 2``.
-
-    Scrolls with special determinant (degree <= 2g - 2) are outside the
-    working range.
-    """
-    return g
 
 
 def section_uniqueness_threshold(g: int, h1: int) -> int:

@@ -9,36 +9,44 @@ done by cross-multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameters
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class _SeriesFields(NamedTuple):
+    g: int
+    m: int
+    h: int
+    i: int
+
+
+class SeriesSpec(_SeriesFields):
     """A complete special linear series of degree ``m`` on a genus-``g`` curve.
 
     ``h`` is the projective dimension of the series and ``i`` its speciality;
     Riemann-Roch forces ``h = m - g + i``.
     """
 
-    g: int
-    m: int
-    h: int
-    i: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g < 2:
-            raise InvalidParameters("genus-too-small", f"g = {self.g} < 2")
-        if self.i < 0 or self.h < 0:
+    def __new__(cls, g: int, m: int, h: int, i: int):
+        if g < 2:
+            raise InvalidParameters("genus-too-small", f"g = {g} < 2")
+        if i < 0 or h < 0:
             raise InvalidParameters(
-                "riemann-roch-inconsistent", f"h = {self.h}, i = {self.i} must be >= 0"
+                "riemann-roch-inconsistent", f"h = {h}, i = {i} must be >= 0"
             )
-        if self.h != self.m - self.g + self.i:
+        if h != m - g + i:
             raise InvalidParameters(
-                "riemann-roch-inconsistent",
-                f"h = {self.h} != m - g + i = {self.m - self.g + self.i}",
+                "riemann-roch-inconsistent", f"h = {h} != m - g + i = {m - g + i}"
             )
+        return tuple.__new__(cls, (g, m, h, i))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the constructor's checks; ``_replace`` calls this."""
+        return cls(*iterable)
 
     @property
     def h0(self) -> int:

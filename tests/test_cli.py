@@ -505,3 +505,17 @@ def test_a_reader_closing_stdout_early_exits_141_without_traceback(fmt):
         code = proc.wait(timeout=60)
     assert len(head) == 100
     assert (code, err) == (141, b"")
+
+
+def test_cold_start_loads_neither_dataclasses_nor_inspect():
+    # -S: the modules a site's .pth files load are the host's, not the CLI's
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "import scrollhilb.cli\n"
+        "scrollhilb.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

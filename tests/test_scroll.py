@@ -19,7 +19,6 @@ from scrollhilb import (
     InvalidParameters,
     ScrollParams,
     aut_dimension,
-    cone_speciality_bound,
     general_moduli_threshold,
     h0_explicit,
     make_scroll,
@@ -91,11 +90,6 @@ def test_cohomology_triple_check_fires_under_optimize():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out == "cohomology-inconsistent\ncohomology-inconsistent\n"
-
-
-def test_cone_speciality_bound():
-    assert cone_speciality_bound(5) == 5
-    assert cone_speciality_bound(3) == 3
 
 
 def test_min_degree_threshold():
