@@ -201,24 +201,6 @@ def cmd_classify(args) -> dict:
     return _report_doc(report)
 
 
-class _Rows:
-    """A one-shot iterable over component records that counts them as they
-    pass; ``len`` is the count so far (the benchmark's tracer reads it after
-    the write)."""
-
-    def __init__(self, rows: Iterable[comp.ComponentRecord]):
-        self._rows = rows
-        self._count = 0
-
-    def __iter__(self) -> Iterator[comp.ComponentRecord]:
-        for row in self._rows:
-            self._count += 1
-            yield row
-
-    def __len__(self) -> int:
-        return self._count
-
-
 def cmd_scan(args) -> dict:
     g_lo, g_hi = _parse_range(args.g)
     h1_lo, h1_hi = _parse_range(args.h1)
@@ -233,28 +215,45 @@ def cmd_scan(args) -> dict:
         g_hi = min(g_hi, (degrees[-1] - 1) // 3)
     if h1_hi < h1_lo or (offset is not None and offset < 0):
         g_hi = g_lo - 1
-    return {"rows": _Rows(_scan_rows(args, range(g_lo, g_hi + 1),
-                                     range(h1_lo, h1_hi + 1), offset, degrees))}
+    return {"rows": _CellWalk(args, range(g_lo, g_hi + 1), range(h1_lo, h1_hi + 1),
+                              offset, degrees)}
 
 
-def _scan_rows(args, genera: range, specialities: range, offset: int | None,
-               degrees: list[int]) -> Iterator[comp.ComponentRecord]:
-    """The component records of the kept cells in (g, h1, d) order, one cell
-    at a time: a cell is classified and verified when the writer asks for
-    its records."""
-    # classify only the cells with components (there the threshold is >= 2g + 2)
-    for g in genera:
-        for h1 in specialities:
-            if not _has_general_moduli(g, h1):
-                break  # nor for any larger h1; this covers g < 3 and h1 >= g
-            threshold = min_degree_threshold(g, h1)
-            for d in degrees if offset is None else [threshold + offset]:
-                if d < threshold:
-                    continue
-                report = comp.classify(ScrollParams(d, g, h1), include_gonal=args.gonal)
-                if args.verify:
-                    _verify_report(report)
-                yield from report.components
+class _CellWalk:
+    """The component records of a scan's kept cells in (g, h1, d) order, one
+    cell at a time: a cell is classified and verified when the writer asks
+    for its records.  ``len`` is the number of records yielded so far,
+    counted after each cell (the benchmark's tracer reads it after the
+    write)."""
+
+    def __init__(self, args, genera: range, specialities: range, offset: int | None,
+                 degrees: list[int]):
+        self._args = args
+        self._genera = genera
+        self._specialities = specialities
+        self._offset = offset
+        self._degrees = degrees
+        self._count = 0
+
+    def __iter__(self) -> Iterator[comp.ComponentRecord]:
+        gonal, verify, offset = self._args.gonal, self._args.verify, self._offset
+        # classify only the cells with components (there the threshold is >= 2g + 2)
+        for g in self._genera:
+            for h1 in self._specialities:
+                if not _has_general_moduli(g, h1):
+                    break  # nor for any larger h1; this covers g < 3 and h1 >= g
+                threshold = min_degree_threshold(g, h1)
+                for d in self._degrees if offset is None else [threshold + offset]:
+                    if d < threshold:
+                        continue
+                    report = comp.classify(ScrollParams(d, g, h1), include_gonal=gonal)
+                    if verify:
+                        _verify_report(report)
+                    yield from report.components
+                    self._count += len(report.components)
+
+    def __len__(self) -> int:
+        return self._count
 
 
 def cmd_gonal(args) -> dict:

@@ -36,3 +36,15 @@ class InvalidParameters(ValueError):
         super().__init__(f"{code}: {detail}")
         self.code = code
         self.detail = detail
+
+
+class _Checked:
+    """Base of the validated named-tuple records whose constructor takes
+    every field: ``_make``, which ``_replace`` calls, builds through the
+    constructor's checks.  It precedes the field tuple among the bases."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

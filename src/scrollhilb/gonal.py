@@ -145,9 +145,7 @@ class GonalParams(_GonalFields):
         return self.d - 2 * self.g + 1 + self.l
 
 
-def make_gonal_params(g: int, t: int, l: int, d: int) -> GonalParams:
-    """Validate (g, t, l, d) and return the gonal component record."""
-    return GonalParams(g=g, t=t, l=l, d=d)
+make_gonal_params = GonalParams  # the constructor under its older name
 
 
 def z_component_dimension(gp: GonalParams) -> int:

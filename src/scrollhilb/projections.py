@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidParameters
+from .errors import InvalidParameters, _Checked
 from .scroll import _degree_threshold, _require_scroll
 from .series import _require_speciality, _section_degree_range
 
@@ -27,7 +27,7 @@ class _ProjectionFields(NamedTuple):
     m: int
 
 
-class ProjectionParams(_ProjectionFields):
+class ProjectionParams(_Checked, _ProjectionFields):
     """Source component (d, g, l, m) plus target speciality k < l.
 
     ``r = d - 2g + 1 + k`` is the target ambient dimension.  The source
@@ -46,23 +46,17 @@ class ProjectionParams(_ProjectionFields):
         _section_degree_range(g, l, m)
         return tuple.__new__(cls, (d, g, l, k, m))
 
-    @classmethod
-    def _make(cls, iterable):
-        """Build through the constructor's checks; ``_replace`` calls this."""
-        return cls(*iterable)
-
     @property
     def r(self) -> int:
         return self.d - 2 * self.g + 1 + self.k
 
 
+make_projection_params = ProjectionParams  # the constructor under its older name
+
+
 class DivisorCaseDims(NamedTuple):
     h_dim: int
     y_dim: int
-
-
-def make_projection_params(d: int, g: int, l: int, k: int, m: int) -> ProjectionParams:
-    return ProjectionParams(d, g, l, k, m)
 
 
 def y_dim_lower_bound(pp: ProjectionParams) -> int:
@@ -95,13 +89,15 @@ def y_vs_target_difference(pp: ProjectionParams) -> int:
     component different from every speciality-k general-moduli component.
     ``m`` may lie outside the speciality-k range, where the formula is not
     the dimension of a component.  Defined for k > 0, or for k = 0 with
-    l > 1; the remaining case (k = 0, l = 1) is the divisor case, handled by
-    :func:`divisor_case`.
+    l > 1.  The pair (k, l) = (0, 1) has no such comparison at any m; of its
+    section degrees only m = 2g - 2, the divisor case, has a dimension, given
+    by :func:`divisor_case`.
     """
     if pp.k == 0 and pp.l == 1:
         raise InvalidParameters(
             "projection-case-out-of-scope",
-            "(k, l) = (0, 1) is the divisor case; no new-component comparison",
+            "(k, l) = (0, 1) has no new-component comparison; only its divisor "
+            f"case m = 2g - 2 = {2 * pp.g - 2} has a dimension",
         )
     return (pp.l - pp.k) * (pp.d - pp.m - pp.g + 1 - pp.k - pp.l)
 

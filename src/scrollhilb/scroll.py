@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .errors import InvalidParameters
+from .errors import InvalidParameters, _Checked
 from .series import _require_speciality, _section_degree_range, clifford_index_general
 
 
@@ -47,7 +47,7 @@ class _ScrollFields(NamedTuple):
     h1: int
 
 
-class ScrollParams(_ScrollFields):
+class ScrollParams(_Checked, _ScrollFields):
     """Validated (degree, genus, speciality) triple of a special scroll.
 
     Validation rejects the first violated inequality, in the order
@@ -63,15 +63,13 @@ class ScrollParams(_ScrollFields):
         _require_scroll(d, g, h1)
         return tuple.__new__(cls, (d, g, h1))
 
-    @classmethod
-    def _make(cls, iterable):
-        """Build through the constructor's checks; ``_replace`` calls this."""
-        return cls(*iterable)
-
     @property
     def R(self) -> int:
         """Dimension of the ambient projective space: d - 2g + 1 + h1."""
         return self.d - 2 * self.g + 1 + self.h1
+
+
+make_scroll = ScrollParams  # the constructor under its older name
 
 
 class SectionData(NamedTuple):
@@ -96,7 +94,7 @@ class _CohomologyFields(NamedTuple):
     chi: int
 
 
-class CohomologyTriple(_CohomologyFields):
+class CohomologyTriple(_Checked, _CohomologyFields):
     """Cohomology of the normal bundle of a scroll in its ambient space."""
 
     __slots__ = ()
@@ -109,16 +107,6 @@ class CohomologyTriple(_CohomologyFields):
                 "cohomology-inconsistent", f"chi = {chi} != h0 - h1n = {h0 - h1n}"
             )
         return tuple.__new__(cls, (h0, h1n, h2, chi))
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through the constructor's checks; ``_replace`` calls this."""
-        return cls(*iterable)
-
-
-def make_scroll(d: int, g: int, h1: int) -> ScrollParams:
-    """Validate (d, g, h1) and return the scroll parameter record."""
-    return ScrollParams(d, g, h1)
 
 
 def section_uniqueness_threshold(g: int, h1: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidParameters
+from .errors import InvalidParameters, _Checked
 
 
 class _SeriesFields(NamedTuple):
@@ -21,7 +21,7 @@ class _SeriesFields(NamedTuple):
     i: int
 
 
-class SeriesSpec(_SeriesFields):
+class SeriesSpec(_Checked, _SeriesFields):
     """A complete special linear series of degree ``m`` on a genus-``g`` curve.
 
     ``h`` is the projective dimension of the series and ``i`` its speciality;
@@ -42,11 +42,6 @@ class SeriesSpec(_SeriesFields):
                 "riemann-roch-inconsistent", f"h = {h} != m - g + i = {m - g + i}"
             )
         return tuple.__new__(cls, (g, m, h, i))
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through the constructor's checks; ``_replace`` calls this."""
-        return cls(*iterable)
 
     @property
     def h0(self) -> int:

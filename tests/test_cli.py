@@ -147,6 +147,17 @@ def test_project_new_component_case():
     assert doc["new_component_certified"] is True
 
 
+def test_project_speciality_one_below_the_divisor_degree():
+    # (l, k) = (1, 0) at m = 14 < 2g - 2 = 16 is not the divisor case
+    code, out, err = invoke("project", "--d", "40", "--g", "9", "--l", "1",
+                            "--k", "0", "--m", "14")
+    assert (code, out) == (2, "")
+    assert err == (
+        "projection-case-out-of-scope: (k, l) = (0, 1) has no new-component "
+        "comparison; only its divisor case m = 2g - 2 = 16 has a dimension\n"
+    )
+
+
 def _assert_same_rows(jrows: list[dict], cs: str) -> None:
     """The CSV rows render the JSON rows field by field: notes joined by
     "; ", booleans as true/false, None as an empty cell."""
@@ -297,6 +308,36 @@ def test_scan_writes_each_cell_before_classifying_the_next(fmt, monkeypatch):
     assert calls[-1][1] > calls[0][1]
     for cell, written in calls:
         assert written == len(output_before_cell(complete, fmt, cell))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("grid", [("3..40", "1..40", "200,235,240"), ("3..3", "2..2", "min")],
+                         ids=["grid", "empty-grid"])
+def test_scan_rows_have_the_length_the_writer_wrote(fmt, grid, monkeypatch):
+    # the benchmark's tracer reads len() of a scan's rows after the writer returns
+    import scrollhilb.cli as cli_module
+
+    real_json, real_csv, lengths = cli_module._emit_json, cli_module._emit_csv, []
+
+    def emit_json(stdout, doc):
+        real_json(stdout, doc)
+        lengths.append(len(doc["rows"]))
+
+    def emit_csv(stdout, columns, rows):
+        real_csv(stdout, columns, rows)
+        lengths.append(len(rows))
+
+    monkeypatch.setattr(cli_module, "_emit_json", emit_json)
+    monkeypatch.setattr(cli_module, "_emit_csv", emit_csv)
+    g, h1, d = grid
+    code, out, err = invoke("scan", "--g", g, "--h1", h1, "--d", d, "--gonal", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        written = len(json.loads(out)["rows"])
+    else:
+        written = len(list(csv.reader(io.StringIO(out)))) - 1
+    assert lengths == [written]
+    assert (written > 0) == (grid[2] != "min")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

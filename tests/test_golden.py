@@ -221,6 +221,41 @@ def test_cli_verify_failure_golden(argv, monkeypatch):
         assert result[1] == ""
 
 
+def _z_off_by_one(gp):
+    return lib.z_component_dimension(gp) + 1
+
+
+def _divisor_case_off_by_one(d, g):
+    dims = lib.divisor_case(d, g)
+    return dims._replace(y_dim=dims.y_dim + 1)
+
+
+# Exit 3 under --verify on the checks that do not go through
+# dim_via_parameter_count: the gonal command, the divisor case of project, and
+# a gonal record of classify (its one gonal record, Z(3, 2) at m = 15; the
+# general-moduli records have m = 11 and 12).  argv -> (cli module, the
+# function patched there, its replacement, stderr); stdout stays empty.
+VERIFY_GOLDEN_GONAL_AND_DIVISOR = {
+    "gonal --g 19 --t 3 --l 5 --d 110 --verify": (
+        "oracle", "z_dim_via_parameter_count", _z_off_by_one,
+        "verify: mismatch at Z(t=3, l=5): closed form 6253, parameter count 6254\n"),
+    "project --d 28 --g 8 --l 1 --k 0 --m 14 --verify": (
+        "proj", "divisor_case", _divisor_case_off_by_one,
+        "verify: divisor-case mismatch: lower bound 244, exact dimension 245\n"),
+    "classify --d 55 --g 10 --h1 2 --gonal --verify": (
+        "oracle", "z_dim_via_parameter_count", _z_off_by_one,
+        "verify: mismatch at (d=55, g=10, h1=2, m=15): closed form 1534, parameter count 1535\n"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_GOLDEN_GONAL_AND_DIVISOR))
+def test_cli_verify_failure_on_gonal_and_divisor_checks(argv, monkeypatch):
+    module, name, replacement, stderr = VERIFY_GOLDEN_GONAL_AND_DIVISOR[argv]
+    assert _run(argv.split())[0] == 0
+    monkeypatch.setattr(getattr(cli, module), name, replacement)
+    assert _run(argv.split()) == (3, "", stderr)
+
+
 def _call(fn, *args):
     try:
         return fn(*args)
@@ -297,7 +332,7 @@ def library_transcript():
 
 
 LIBRARY_LINES = 153601
-LIBRARY_DIGEST = "609b6d6f2e7058c443cb01ef43e686301b569b3174a31557e32026226cb2182e"
+LIBRARY_DIGEST = "55eeb91f0cee87dfdb4af430c5f205f0cafe352537b0b467f2161c68068b49ea"
 
 
 def test_library_transcript_golden():

@@ -18,6 +18,9 @@ from scrollhilb import (
     SeriesSpec,
     classify,
     divisor_case,
+    make_gonal_params,
+    make_projection_params,
+    make_scroll,
     section_data,
 )
 
@@ -93,3 +96,9 @@ def test_a_record_is_the_tuple_of_its_fields():
     assert GonalParams(19, 3, 5, 110) == (19, 3, 5, 110, 11, 24)
     assert p._fields == ("d", "g", "h1")
     assert GonalParams._fields == ("g", "t", "l", "d", "a", "m")
+
+
+def test_the_make_names_are_the_constructors():
+    assert make_scroll is ScrollParams
+    assert make_gonal_params is GonalParams
+    assert make_projection_params is ProjectionParams

@@ -101,9 +101,10 @@ def test_general_moduli_condition_is_stated_once():
 
 
 def test_scan_catches_nothing():
-    (scan,) = [
-        node
-        for node in ast.walk(_tree(SRC / "cli.py"))
-        if isinstance(node, ast.FunctionDef) and node.name == "cmd_scan"
-    ]
-    assert not [node for node in ast.walk(scan) if isinstance(node, ast.Try)]
+    # cmd_scan, and the cell walk whose __iter__ yields the rows
+    tree = _tree(SRC / "cli.py")
+    (scan,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "cmd_scan"]
+    (walk,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_CellWalk"]
+    assert [n for n in walk.body if isinstance(n, ast.FunctionDef) and n.name == "__iter__"]
+    for fn in (scan, walk):
+        assert not [node for node in ast.walk(fn) if isinstance(node, ast.Try)]
