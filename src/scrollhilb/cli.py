@@ -46,29 +46,19 @@ COMPONENT_COLUMNS = [
 ]
 
 
-def _cell(value) -> str:
-    """CSV cell rendering: integers in decimal, booleans as true/false,
-    absent fields empty (not zero), a list of notes joined by "; "."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return "; ".join(value)
-    return str(value)
-
-
 # The JSON and CSV text of each value the kind, generically_smooth and
 # bundle_class columns take, keyed by identity: these values are singletons,
-# and hashing an Enum member is a Python-level call.
-_CONSTANTS = [None, True, False, *comp.ComponentKind, *BundleClass]
-_JSON_TEXT = {id(v): json.dumps(getattr(v, "value", v)) for v in _CONSTANTS}
-_CSV_TEXT = {id(v): _cell(getattr(v, "value", v)) for v in _CONSTANTS}
+# and hashing an Enum member is a Python-level call.  In CSV an absent value
+# is an empty cell (not zero) and a boolean is true/false.
+_ENUMS = [*comp.ComponentKind, *BundleClass]
+_JSON_TEXT = {id(v): json.dumps(getattr(v, "value", v)) for v in [None, True, False, *_ENUMS]}
+_CSV_TEXT = {id(None): "", id(True): "true", id(False): "false",
+             **{id(v): v.value for v in _ENUMS}}
 
 
 def _csv_cells(rec: comp.ComponentRecord) -> list:
     """The cells of one component row; csv.writer writes an int in decimal
-    and None (no t or l) as an empty cell, as ``_cell`` renders them."""
+    and None (no t or l) as an empty cell, the notes are joined by "; "."""
     return [
         _CSV_TEXT[id(rec.kind)], rec.d, rec.g, rec.h1, rec.m, rec.t, rec.l, rec.dim,
         _CSV_TEXT[id(rec.generically_smooth)], _CSV_TEXT[id(rec.bundle_class)],
@@ -85,7 +75,7 @@ def _emit_csv(stdout, columns: list[str], rows: Iterable) -> None:
     if columns is COMPONENT_COLUMNS:
         writer.writerows(map(_csv_cells, rows))
     else:
-        writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+        writer.writerows([_CSV_TEXT.get(id(row[c]), row[c]) for c in columns] for row in rows)
 
 
 # One component row, after the separator from the row before it, as

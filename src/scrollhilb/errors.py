@@ -39,9 +39,11 @@ class InvalidParameters(ValueError):
 
 
 class _Checked:
-    """Base of the validated named-tuple records whose constructor takes
-    every field: ``_make``, which ``_replace`` calls, builds through the
-    constructor's checks.  It precedes the field tuple among the bases."""
+    """Base of every validated named-tuple record.  Each such record is the
+    tuple of its constructor's arguments, so ``_make``, which ``_replace``
+    calls, builds through the constructor's checks, and copy and pickle pass
+    the fields back to ``__new__``.  It precedes the field tuple among the
+    bases."""
 
     __slots__ = ()
 

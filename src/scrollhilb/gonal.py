@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidParameters
+from .errors import InvalidParameters, _Checked
 from .series import SeriesSpec, _has_general_moduli, gonality_general
 
 
@@ -88,16 +88,15 @@ class _GonalFields(NamedTuple):
     t: int
     l: int
     d: int
-    a: int
-    m: int
 
 
-class GonalParams(_GonalFields):
-    """Validated parameters of a gonal-curve component Z(t, l).
+class GonalParams(_Checked, _GonalFields):
+    """Validated parameters (g, t, l, d) of a gonal-curve component Z(t, l).
 
-    ``a`` (the Ballico parameter) and the section degree
-    ``m = 2g - 2 - (l-1)t`` are derived, never supplied.  Validation order:
-    genus, gonality, Ballico parameter, speciality, very-ampleness, degree.
+    The Ballico parameter ``a`` and the section degree
+    ``m = 2g - 2 - (l-1)t`` are derived properties, never supplied.
+    Validation order: genus, gonality, Ballico parameter, speciality,
+    very-ampleness, degree.
     """
 
     __slots__ = ()
@@ -119,25 +118,17 @@ class GonalParams(_GonalFields):
             )
         if d < 6 * g - 5:
             raise InvalidParameters("degree-too-small", f"d = {d} < 6g - 5 = {6 * g - 5}")
-        return tuple.__new__(cls, (g, t, l, d, a, 2 * g - 2 - (l - 1) * t))
+        return tuple.__new__(cls, (g, t, l, d))
 
-    @classmethod
-    def _make(cls, iterable):
-        """Build from (g, t, l, d) through the constructor's checks; a and m,
-        when the iterable carries them (``_replace`` passes all six fields),
-        are derived again."""
-        g, t, l, d, *_ = iterable
-        return cls(g, t, l, d)
+    @property
+    def a(self) -> int:
+        """The Ballico parameter of (g, t): ``ballico_a(g, t)``."""
+        return ballico_a(self.g, self.t)
 
-    def _replace(self, /, **kwds):
-        """A copy with some of g, t, l, d replaced, checked as by the
-        constructor; a and m are derived again, never replaced."""
-        if "a" in kwds or "m" in kwds:
-            raise ValueError("a and m are derived from (g, t, l, d) and cannot be replaced")
-        return super()._replace(**kwds)
-
-    def __getnewargs__(self):
-        return self[:4]
+    @property
+    def m(self) -> int:
+        """Degree of the special section: 2g - 2 - (l-1)t."""
+        return 2 * self.g - 2 - (self.l - 1) * self.t
 
     @property
     def R(self) -> int:

@@ -1,4 +1,5 @@
-"""The public surface: which parameters it takes, and the README's example."""
+"""The public surface: which parameters it takes, and the README's example
+and table of records."""
 
 from __future__ import annotations
 
@@ -49,3 +50,11 @@ def test_readme_library_example_runs():
             exec(code, namespace)
     assert [got for _, got in checked] == [want for want, _ in checked]
     assert len(checked) == 3  # 56, 56 and 6253
+
+
+def test_readme_record_table_lists_each_record_s_fields():
+    section = README.read_text().split("## Library", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", section, re.MULTILINE)
+    assert len(rows) == 10
+    for name, fields in rows:
+        assert fields == ", ".join(getattr(scrollhilb, name)._fields), name

@@ -332,7 +332,7 @@ def library_transcript():
 
 
 LIBRARY_LINES = 153601
-LIBRARY_DIGEST = "55eeb91f0cee87dfdb4af430c5f205f0cafe352537b0b467f2161c68068b49ea"
+LIBRARY_DIGEST = "e5cba58387e2cd263664bcee12d5fd179a948010021938d862d9a77506a7190f"
 
 
 def test_library_transcript_golden():

@@ -8,6 +8,8 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrollhilb import (
     CohomologyTriple,
@@ -23,6 +25,8 @@ from scrollhilb import (
     make_scroll,
     section_data,
 )
+from scrollhilb.errors import _Checked
+from test_gonal import large_gonal_params
 
 # (record type, valid constructor arguments, a field, a value out of its range)
 VALIDATED = [
@@ -62,8 +66,10 @@ def test_make_and_replace_check_like_the_constructor(cls, args, field, bad):
 def test_gonal_replace_derives_a_and_m_again():
     gp = GonalParams(40, 3, 5, 235)
     assert (gp.a, gp.m) == (21, 66)
-    assert gp._replace(t=4) == GonalParams(40, 4, 5, 235) == (40, 4, 5, 235, 15, 62)
-    assert gp._replace(l=2) == (40, 3, 2, 235, 21, 75)
+    assert gp._replace(t=4) == GonalParams(40, 4, 5, 235) == (40, 4, 5, 235)
+    assert (gp._replace(t=4).a, gp._replace(t=4).m) == (15, 62)
+    assert gp._replace(l=2) == (40, 3, 2, 235)
+    assert (gp._replace(l=2).a, gp._replace(l=2).m) == (21, 75)
     for derived in ({"a": 21}, {"m": 66}):
         with pytest.raises(ValueError):
             gp._replace(**derived)
@@ -93,9 +99,36 @@ def test_copy_and_pickle_return_an_equal_record(record):
 def test_a_record_is_the_tuple_of_its_fields():
     p = ScrollParams(10, 3, 1)
     assert p == (10, 3, 1) and hash(p) == hash((10, 3, 1))
-    assert GonalParams(19, 3, 5, 110) == (19, 3, 5, 110, 11, 24)
+    assert GonalParams(19, 3, 5, 110) == (19, 3, 5, 110)
     assert p._fields == ("d", "g", "h1")
-    assert GonalParams._fields == ("g", "t", "l", "d", "a", "m")
+    assert GonalParams._fields == ("g", "t", "l", "d")
+
+
+def test_every_validated_record_builds_through_the_shared_make():
+    for cls, *_ in VALIDATED:
+        assert not {"_make", "_replace", "__getnewargs__"} & set(vars(cls)), cls
+        assert cls._make.__func__ is _Checked._make.__func__, cls
+
+
+def _a_and_m(gp: GonalParams) -> tuple[int, int]:
+    """The closed forms a = ceil(g/(t-1)) + 1 and m = 2g - 2 - (l-1)t."""
+    return -(-gp.g // (gp.t - 1)) + 1, 2 * gp.g - 2 - (gp.l - 1) * gp.t
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gp=large_gonal_params(), data=st.data())
+def test_gonal_a_and_m_are_derived_from_the_four_fields(gp, data):
+    assert (gp.a, gp.m) == _a_and_m(gp)
+    assert (gp.a - 2) * (gp.t - 1) < gp.g <= (gp.a - 1) * (gp.t - 1)
+    # a smaller t or l passes every gate again: a does not fall, and the
+    # very-ampleness margin does not fall
+    others = [gp._replace(t=data.draw(st.integers(3, gp.t), label="t")),
+              gp._replace(l=data.draw(st.integers(2, gp.l), label="l"))]
+    for other in others:
+        assert (other.a, other.m) == _a_and_m(other)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        other = pickle.loads(pickle.dumps(gp, protocol))
+        assert (other, other.a, other.m) == (gp, gp.a, gp.m)
 
 
 def test_the_make_names_are_the_constructors():
