@@ -66,10 +66,9 @@ def test_make_and_replace_check_like_the_constructor(cls, args, field, bad):
 def test_gonal_replace_derives_a_and_m_again():
     gp = GonalParams(40, 3, 5, 235)
     assert (gp.a, gp.m) == (21, 66)
-    assert gp._replace(t=4) == GonalParams(40, 4, 5, 235) == (40, 4, 5, 235)
-    assert (gp._replace(t=4).a, gp._replace(t=4).m) == (15, 62)
-    assert gp._replace(l=2) == (40, 3, 2, 235)
-    assert (gp._replace(l=2).a, gp._replace(l=2).m) == (21, 75)
+    t4, l2 = gp._replace(t=4), gp._replace(l=2)
+    assert t4 == GonalParams(40, 4, 5, 235) == (40, 4, 5, 235) and (t4.a, t4.m) == (15, 62)
+    assert l2 == (40, 3, 2, 235) and (l2.a, l2.m) == (21, 75)
     for derived in ({"a": 21}, {"m": 66}):
         with pytest.raises(ValueError):
             gp._replace(**derived)
