@@ -114,7 +114,7 @@ def component_dimension_formula(d: int, g: int, h1: int, m: int) -> int:
 def component_dimension(p: ScrollParams, m: int) -> int:
     """Dimension of the general-moduli component with section degree ``m``."""
     require_admissible(p, m)
-    return component_dimension_formula(p.d, p.g, p.h1, m)
+    return component_dimension_formula(*p, m)
 
 
 def component_dimension_h1_1(d: int, g: int) -> int:
@@ -156,7 +156,8 @@ def singular_by_smaller_section(g: int, h1: int, m_outer: int, m_inner: int) -> 
     whose actual minimal special section has degree ``m_inner`` is a singular
     point (it then lies on the ``m_inner`` component as well)."""
     _require_speciality(g, h1)
-    _section_degree_range(g, h1, m_outer, m_inner)
+    _section_degree_range(g, h1, m_outer)
+    _section_degree_range(g, h1, m_inner)
     return m_inner < m_outer
 
 

@@ -17,8 +17,10 @@ inequality is checked in one function.  A scroll is checked in this order:
 
 Code 5 negates ``series._has_general_moduli``; ``scan`` classifies only the
 cells where it holds and d reaches the threshold, and exits 2 on an error
-there.  README.md lists every code, with the other bounds of codes 1, 3
-and 6.
+there.  The entry points of a pair (g, h1) check code 2 before code 1
+(``min_degree_threshold(2, 2)`` raises ``speciality-out-of-range``), while
+``ScrollParams(d, 2, 2)`` raises ``genus-too-small``.  README.md lists
+every code, with the other bounds of codes 1, 3 and 6.
 """
 
 from __future__ import annotations

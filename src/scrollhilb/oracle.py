@@ -32,7 +32,7 @@ def dim_via_parameter_count(p: ScrollParams, m: int) -> int:
       - dim(stabilizer)          projectivities fixing the scroll
     """
     require_admissible(p, m)
-    d, g, h1 = p.d, p.g, p.h1
+    d, g, h1 = p
 
     # series: h-dimensional, degree m, speciality h1 = g - m + h
     h = m - g + h1
@@ -41,13 +41,13 @@ def dim_via_parameter_count(p: ScrollParams, m: int) -> int:
     # extension space of the section's bundle by its complement: a general
     # twist of degree e = d - 2m, h1 = max(0, g - 1 - e) by Riemann-Roch
     e = d - 2 * m
-    t_ext = max(0, g - 1 - e)
-    ext_choices = max(0, t_ext - 1)
+    t_ext = g - 1 - e if e < g - 1 else 0
+    ext_choices = t_ext - 1 if t_ext > 1 else 0
 
     # the bundle splits when the extension space vanishes or d >= 6g - 5;
     # the stabilizer then gains a one-parameter torus
     decomposable = d >= 6 * g - 5 or t_ext == 0
-    stab = max(0, e - g + 1) + (1 if decomposable else 0)
+    stab = (e - g + 1 if e > g - 1 else 0) + (1 if decomposable else 0)
 
     ambient = d - 2 * g + 2 + h1  # global sections of the rank-two bundle
     pgl = ambient * ambient - 1

@@ -67,16 +67,10 @@ def y_dim_lower_bound(pp: ProjectionParams) -> int:
     with chi(N (x) L^dual) = d - 2m + 1 - g.  This is a lower bound, not an
     asserted dimension, except in the divisor case where it is attained.
     """
-    r1 = pp.r + 1
-    chi_NL = pp.d - 2 * pp.m + 1 - pp.g
-    return (
-        5 * pp.g
-        - 5
-        + r1 * r1
-        - chi_NL
-        - pp.l * (pp.m - pp.g + pp.l + 1)
-        + (pp.l - pp.k) * r1
-    )
+    d, g, l, k, m = pp
+    r1 = d - 2 * g + 2 + k
+    chi_NL = d - 2 * m + 1 - g
+    return 5 * g - 5 + r1 * r1 - chi_NL - l * (m - g + l + 1) + (l - k) * r1
 
 
 def y_vs_target_difference(pp: ProjectionParams) -> int:

@@ -163,8 +163,9 @@ def h1_general_line_bundle(g: int, e: int) -> int:
 def require_admissible(p: ScrollParams, m: int) -> None:
     """Check d against the degree threshold and m against the admissible
     section-degree range; reject the first violated inequality."""
-    _degree_threshold(p.g, p.h1, p.d)
-    _section_degree_range(p.g, p.h1, m)  # may raise BN1-violated
+    d, g, h1 = p
+    _degree_threshold(g, h1, d)
+    _section_degree_range(g, h1, m)  # may raise BN1-violated
 
 
 def _require_section(p: ScrollParams, m: int) -> tuple[int, int]:
@@ -248,10 +249,11 @@ def h0_explicit(p: ScrollParams, m: int) -> int:
     Must agree with ``normal_bundle_cohomology(p, m).h0``.
     """
     require_admissible(p, m)
-    R1 = p.R + 1
-    h0L = m - p.g + 1 + p.h1
-    chi_NL = p.d - 2 * m + 1 - p.g
-    return 5 * (p.g - 1) + R1 * R1 - p.h1 * h0L - chi_NL
+    d, g, h1 = p
+    R1 = d - 2 * g + 2 + h1
+    h0L = m - g + 1 + h1
+    chi_NL = d - 2 * m + 1 - g
+    return 5 * (g - 1) + R1 * R1 - h1 * h0L - chi_NL
 
 
 def aut_dimension(p: ScrollParams, m: int) -> int:

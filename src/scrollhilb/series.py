@@ -138,7 +138,7 @@ def special_series_degree_bounds(g: int, h1: int) -> tuple[int, int]:
 def _has_general_moduli(g: int, h1: int) -> bool:
     """Whether components with general moduli exist at speciality h1 >= 1:
     g >= 4*h1 (BN1), or (g, h1) = (3, 1); otherwise the moduli are special."""
-    return g >= 4 * h1 or (g, h1) == (3, 1)
+    return g >= 4 * h1 or g == 3 and h1 == 1
 
 
 def _first_general_moduli_genus(h1: int) -> int:
@@ -147,18 +147,17 @@ def _first_general_moduli_genus(h1: int) -> int:
     return 3 if h1 == 1 else 4 * h1
 
 
-def _section_degree_range(g: int, h1: int, *ms: int) -> tuple[int, int]:
+def _section_degree_range(g: int, h1: int, m: int | None = None) -> tuple[int, int]:
     """:func:`special_series_degree_bounds` of a pair with 0 < h1 < g;
-    rejects each section degree in ``ms`` outside the range."""
+    rejects the section degree ``m``, when given, outside the range."""
     if not _has_general_moduli(g, h1):
         raise InvalidParameters("BN1-violated", f"g < 4*h1 ({g} < {4 * h1})")
-    if (g, h1) == (3, 1):
+    if g == 3 and h1 == 1:
         lo = hi = 4
     else:
         lo, hi = g + 3 - h1, g // h1 - 1 + g - h1  # hi is mbar of max_special_degree
-    for m in ms:
-        if not lo <= m <= hi:
-            raise InvalidParameters(
-                "m-out-of-range", f"m = {m} not in [{lo}, {hi}] for (g, h1) = ({g}, {h1})"
-            )
+    if m is not None and not lo <= m <= hi:
+        raise InvalidParameters(
+            "m-out-of-range", f"m = {m} not in [{lo}, {hi}] for (g, h1) = ({g}, {h1})"
+        )
     return lo, hi
