@@ -15,10 +15,11 @@ faults.  Output is byte-deterministic: same flags, same bytes.
 Component rows are written straight from the ``ComponentRecord`` of each
 component, one fixed encoder per column; nothing sits between a record and
 its bytes.  ``scan`` classifies, verifies and writes one cell at a time, so
-its memory does not grow with the grid.  When it fails on a cell (exit 2 or
-3), stdout holds the rows of the cells before that cell and is left
-unterminated: a JSON document without its closing brackets.  The other
-commands write nothing to stdout before a failure.
+its memory does not grow with the grid; which cells it visits, and every
+bound of that walk, is stated once, in ``components._scan_cells``.  When it
+fails on a cell (exit 2 or 3), stdout holds the rows of the cells before
+that cell and is left unterminated: a JSON document without its closing
+brackets.  The other commands write nothing to stdout before a failure.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from . import gonal as gonalmod
 from . import oracle
 from . import projections as proj
 from .errors import InvalidParameters
-from .scroll import BundleClass, ScrollParams, min_degree_threshold
-from .series import _first_general_moduli_genus, _has_general_moduli
+from .scroll import BundleClass, ScrollParams
+from .series import _has_general_moduli
 
 COMPONENT_COLUMNS = [
     "kind", "d", "g", "h1", "m", "t", "l", "dim",
@@ -160,15 +161,15 @@ def _verify_report(report: comp.ClassificationReport) -> None:
         raise _VerifyMismatch("".join(mismatches))
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    """(lo, hi) of 'A..B' (inclusive) or 'A'; rejects a malformed or empty range."""
+def _parse_range(text: str) -> range:
+    """The integers of 'A..B' (inclusive) or 'A'; rejects a malformed or empty range."""
     try:
         lo, hi = map(int, text.split("..", 1)) if ".." in text else (int(text),) * 2
     except ValueError as exc:
         raise InvalidParameters("malformed-range", str(exc)) from None
     if lo > hi:
         raise InvalidParameters("malformed-range", f"empty range {text}")
-    return lo, hi
+    return range(lo, hi + 1)
 
 
 def _parse_degree_policy(policy: str) -> tuple[int | None, list[int]]:
@@ -192,55 +193,28 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_scan(args) -> dict:
-    g_lo, g_hi = _parse_range(args.g)
-    h1_lo, h1_hi = _parse_range(args.h1)
-    offset, degrees = _parse_degree_policy(args.d)
-    h1_lo = max(h1_lo, 1)
-    # no genus below the first with general moduli at h1_lo has a cell; a
-    # cell with components has threshold >= 3g + 1, so no degree d keeps a
-    # cell of genus above (d - 1) // 3; a negative offset, or no speciality
-    # >= 1, keeps no cell
-    g_lo = max(g_lo, _first_general_moduli_genus(h1_lo))
-    if offset is None:
-        g_hi = min(g_hi, (degrees[-1] - 1) // 3)
-    if h1_hi < h1_lo or (offset is not None and offset < 0):
-        g_hi = g_lo - 1
-    return {"rows": _CellWalk(args, range(g_lo, g_hi + 1), range(h1_lo, h1_hi + 1),
-                              offset, degrees)}
+    genera, specialities = _parse_range(args.g), _parse_range(args.h1)
+    cells = comp._scan_cells(genera, specialities, *_parse_degree_policy(args.d))
+    return {"rows": _CellWalk(cells, args.gonal, args.verify)}
 
 
 class _CellWalk:
-    """The component records of a scan's kept cells in (g, h1, d) order, one
-    cell at a time: a cell is classified and verified when the writer asks
-    for its records.  ``len`` is the number of records yielded so far,
-    counted after each cell (the benchmark's tracer reads it after the
-    write)."""
+    """The component records of a scan's cells (read once, as they come
+    from ``components._scan_cells``), one cell at a time: a cell is
+    classified and verified when the writer asks for its records.  ``len``
+    is the number of records yielded so far, counted after each cell (the
+    benchmark's tracer reads it after the write)."""
 
-    def __init__(self, args, genera: range, specialities: range, offset: int | None,
-                 degrees: list[int]):
-        self._args = args
-        self._genera = genera
-        self._specialities = specialities
-        self._offset = offset
-        self._degrees = degrees
-        self._count = 0
+    def __init__(self, cells: Iterable[ScrollParams], gonal: bool, verify: bool):
+        self._cells, self._gonal, self._verify, self._count = cells, gonal, verify, 0
 
     def __iter__(self) -> Iterator[comp.ComponentRecord]:
-        gonal, verify, offset = self._args.gonal, self._args.verify, self._offset
-        # classify only the cells with components (there the threshold is >= 2g + 2)
-        for g in self._genera:
-            for h1 in self._specialities:
-                if not _has_general_moduli(g, h1):
-                    break  # nor for any larger h1; this covers g < 3 and h1 >= g
-                threshold = min_degree_threshold(g, h1)
-                for d in self._degrees if offset is None else [threshold + offset]:
-                    if d < threshold:
-                        continue
-                    report = comp.classify(ScrollParams(d, g, h1), include_gonal=gonal)
-                    if verify:
-                        _verify_report(report)
-                    yield from report.components
-                    self._count += len(report.components)
+        for p in self._cells:
+            report = comp.classify(p, include_gonal=self._gonal)
+            if self._verify:
+                _verify_report(report)
+            yield from report.components
+            self._count += len(report.components)
 
     def __len__(self) -> int:
         return self._count
@@ -265,10 +239,7 @@ def cmd_gonal(args) -> dict:
     diff = gonalmod.z_vs_h_difference(gp)
     kk_equality = gonalmod.kk_margin(gp.g, gp.t, gp.l) == 0
     record = {
-        "g": gp.g,
-        "t": gp.t,
-        "l": gp.l,
-        "d": gp.d,
+        **gp._asdict(),  # g, t, l, d
         "a": gp.a,
         "m": gp.m,
         "R": gp.R,
@@ -298,11 +269,7 @@ def cmd_project(args) -> dict:
     y_lb = proj.y_dim_lower_bound(pp)
     is_divisor = pp.l == 1 and pp.k == 0 and pp.m == 2 * pp.g - 2
     record = {
-        "d": pp.d,
-        "g": pp.g,
-        "l": pp.l,
-        "k": pp.k,
-        "m": pp.m,
+        **pp._asdict(),  # d, g, l, k, m
         "r": pp.r,
         "y_dim_lower_bound": y_lb,
         "is_divisor_case": is_divisor,
@@ -313,9 +280,7 @@ def cmd_project(args) -> dict:
         "new_component_certified": None,
     }
     if is_divisor:
-        dims = proj.divisor_case(pp.d, pp.g)
-        record["h_dim"] = dims.h_dim
-        record["y_dim"] = dims.y_dim
+        record["h_dim"], record["y_dim"] = proj.divisor_case(pp.d, pp.g)
     else:
         diff = proj.y_vs_target_difference(pp)
         record["y_vs_target_difference"] = diff

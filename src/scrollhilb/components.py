@@ -14,6 +14,7 @@ makes it complete for speciality 2.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .errors import InvalidParameters
@@ -25,7 +26,8 @@ from .scroll import (
     _degree_threshold,
     require_admissible,
 )
-from .series import _require_speciality, _section_degree_range, special_series_degree_bounds
+from .series import _first_general_moduli_genus, _has_general_moduli, _require_speciality
+from .series import _section_degree_range, special_series_degree_bounds
 
 
 class ComponentKind(enum.Enum):
@@ -265,3 +267,28 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
         complete=complete,
         notes=report_notes,
     )
+
+
+def _scan_cells(genera: range, specialities: range, offset: int | None,
+                degrees: list[int]) -> Iterator[ScrollParams]:
+    """The scan's cells that :func:`classify` accepts, in (g, h1, d) order:
+    h1 >= 1, general moduli at (g, h1), and d (the threshold plus ``offset``,
+    or each of the ascending ``degrees`` when ``offset`` is None) at least
+    the degree threshold.  The one home of that rule and of the bounds that
+    keep a hostile grid finite: no genus below the first with general moduli
+    at the least h1 >= 1; no genus above (max(d) - 1) // 3, as every
+    threshold is >= 3g + 1; nothing for a negative offset or with no h1 >= 1;
+    and each genus stops at its first h1 without general moduli, which no
+    larger h1 has (this covers g < 3 and h1 >= g)."""
+    h1_lo, h1_stop = max(specialities.start, 1), specialities.stop
+    if h1_lo >= h1_stop or offset is not None and offset < 0:
+        return
+    g_stop = genera.stop if offset is not None else min(genera.stop, (degrees[-1] - 1) // 3 + 1)
+    for g in range(max(genera.start, _first_general_moduli_genus(h1_lo)), g_stop):
+        for h1 in range(h1_lo, h1_stop):
+            if not _has_general_moduli(g, h1):
+                break
+            threshold = _degree_threshold(g, h1)  # 0 < h1 < g holds here
+            for d in degrees if offset is None else [threshold + offset]:
+                if d >= threshold:
+                    yield ScrollParams(d, g, h1)

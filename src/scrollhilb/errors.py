@@ -3,8 +3,11 @@
 Every validation in this package rejects the *first* inequality that fails,
 in a fixed documented order, and names it with a stable kebab-case code so
 that callers (and the CLI) can rely on deterministic diagnostics.  Each
-inequality is checked in one function.  A scroll is checked in this order:
-``ScrollParams`` 1-3, ``require_admissible`` 4-6, ``section_data`` 7-8::
+inequality is checked in one function, except g < 3, which
+``scroll._require_scroll``, ``general_moduli_threshold``,
+``clifford_index_general`` and ``gonality_general`` each check.  A scroll is
+checked in this order: ``ScrollParams`` 1-3, ``require_admissible`` 4-6,
+``section_data`` 7-8::
 
     1  genus-too-small                g < 3                     ScrollParams
     2  speciality-out-of-range        h1 <= 0 or h1 >= g        series._require_speciality
@@ -15,12 +18,13 @@ inequality is checked in one function.  A scroll is checked in this order:
     7  not-a-section                  m - g + h1 < 2            scroll._require_section
     8  nonnegative-self-intersection  2m - d >= 0               scroll._require_section
 
-Code 5 negates ``series._has_general_moduli``; ``scan`` classifies only the
-cells where it holds and d reaches the threshold, and exits 2 on an error
-there.  The entry points of a pair (g, h1) check code 2 before code 1
-(``min_degree_threshold(2, 2)`` raises ``speciality-out-of-range``), while
-``ScrollParams(d, 2, 2)`` raises ``genus-too-small``.  README.md lists
-every code, with the other bounds of codes 1, 3 and 6.
+Code 5 negates ``series._has_general_moduli``; ``components._scan_cells``
+keeps only the scan cells where it holds and d reaches the threshold, and
+``scan`` exits 2 on an error there.  The entry points of a pair (g, h1)
+check code 2 before code 1 (``min_degree_threshold(2, 2)`` raises
+``speciality-out-of-range``), while ``ScrollParams(d, 2, 2)`` raises
+``genus-too-small``.  README.md lists every code, with the other bounds of
+codes 1, 3 and 6.
 """
 
 from __future__ import annotations

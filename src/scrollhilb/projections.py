@@ -4,10 +4,12 @@ A general scroll of speciality ``l`` in its natural ambient space can be
 projected to the smaller space P^r, r = d - 2g + 1 + k with 0 <= k < l, in
 which linearly normal scrolls have speciality ``k``.  The projected family
 Y(k, l) at section degree ``m`` has a dimension *lower bound* from a
-parameter count; comparing it against the speciality-``k`` components shows
-that, except in the single divisor case (l, k, m) = (1, 0, 2g-2), the
-projections fill components of their own.  Only the divisor case carries an
-exact dimension (one less than the non-special component containing it).
+parameter count; for l >= 2, comparing it against the speciality-``k``
+components shows that the projections fill components of their own.  At
+l = 1 only m = 2g - 2 indexes a component (a smaller m gives a sublocus of
+it), so (l, k) = (1, 0) has only the divisor case m = 2g - 2 to compare:
+there the projections fill a divisor of the non-special component, the one
+case with an exact dimension.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ class ProjectionParams(_Checked, _ProjectionFields):
     """Source component (d, g, l, m) plus target speciality k < l.
 
     ``r = d - 2g + 1 + k`` is the target ambient dimension.  The source
-    tuple must be a valid general-moduli component tuple of speciality l,
-    which gives r >= 3.
+    must pass ``require_admissible`` at speciality l, which gives r >= 3.
+    At l = 1 it may be any m of ``special_series_degree_bounds(g, 1)``,
+    though only the last, 2g - 2, indexes a component (the divisor case).
     """
 
     __slots__ = ()

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scrollhilb import components
 from scrollhilb import InvalidParameters, ScrollParams, classify, min_degree_threshold
 from scrollhilb.cli import COMPONENT_COLUMNS, _emit_csv, _emit_json, run
 from scrollhilb.components import ComponentKind, ComponentRecord, ReportNote
@@ -382,16 +383,15 @@ def test_bounded_scan_writes_what_the_full_walk_writes(policy, h1_lo):
 
 
 def _record_general_moduli_calls(monkeypatch) -> list[tuple[int, int]]:
-    """The (g, h1) of each general-moduli test the scan makes, as it makes it."""
-    import scrollhilb.cli as cli_module
-
+    """The (g, h1) of each general-moduli test the scan's walk makes, as it
+    makes it."""
     calls = []
 
     def counting(g, h1):
         calls.append((g, h1))
         return _has_general_moduli(g, h1)
 
-    monkeypatch.setattr(cli_module, "_has_general_moduli", counting)
+    monkeypatch.setattr(components, "_has_general_moduli", counting)
     return calls
 
 

@@ -7,7 +7,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grids import GMAX, degree_values, scroll_grid, speciality_values
@@ -24,12 +24,14 @@ from scrollhilb import (
     component_dimension_formula,
     component_dimension_h1_1,
     make_scroll,
+    min_degree_threshold,
     rho_of_bundle,
     singular_by_smaller_section,
     singular_point_predicate,
     sublocus_codim_h1_1,
 )
-from scrollhilb.cli import run
+from scrollhilb.cli import _parse_degree_policy, run
+from scrollhilb.series import _has_general_moduli
 
 
 def admissible_m_by_enumeration(g: int, h1: int) -> list[int]:
@@ -287,3 +289,41 @@ def test_triple_agreement_spot_grid():
         a = component_dimension(p, m)
         assert a == h0_explicit(p, m)
         assert a == dim_via_parameter_count(p, m)
+
+
+@st.composite
+def _ranges(draw, lo: int, hi: int) -> range:
+    """A non-empty range lo' .. hi' inside [lo, hi], bounds included."""
+    start = draw(st.integers(lo, hi))
+    return range(start, draw(st.integers(start, hi)) + 1)
+
+
+_DEGREE_POLICIES = st.one_of(
+    st.just("min"),
+    st.integers(-3, 8).map(lambda k: f"+{k}"),
+    st.lists(st.integers(-20, 700), min_size=1, max_size=4).map(
+        lambda ds: ",".join(map(str, ds))),  # duplicates and any order
+)
+_T = min_degree_threshold(20, 5)  # at g = 4*h1
+
+
+@settings(derandomize=True, max_examples=300)
+@given(genera=_ranges(-30, 90), specialities=_ranges(-5, 30), policy=_DEGREE_POLICIES)
+@example(genera=range(3, 4), specialities=range(1, 2), policy="min")  # the (3, 1) cell
+@example(genera=range(20, 21), specialities=range(5, 6), policy="min")
+@example(genera=range(20, 21), specialities=range(5, 6), policy=f"{_T}")
+@example(genera=range(20, 21), specialities=range(5, 6), policy=f"{_T - 1}")
+@example(genera=range(3, 60), specialities=range(1, 10), policy="+-1")
+@example(genera=range(3, 60), specialities=range(0, 1), policy="min")
+def test_scan_cells_are_the_cells_of_a_brute_force_walk(genera, specialities, policy):
+    offset, degrees = _parse_degree_policy(policy)
+    expected = []
+    for g in genera:
+        for h1 in specialities:
+            if h1 < 1 or not _has_general_moduli(g, h1):
+                continue
+            threshold = min_degree_threshold(g, h1)
+            for d in degrees if offset is None else [threshold + offset]:
+                if d >= threshold:
+                    expected.append(ScrollParams(d, g, h1))
+    assert list(components._scan_cells(genera, specialities, offset, degrees)) == expected

@@ -101,10 +101,13 @@ def test_general_moduli_condition_is_stated_once():
 
 
 def test_scan_catches_nothing():
-    # cmd_scan, and the cell walk whose __iter__ yields the rows
+    # cmd_scan, the cell iterable whose __iter__ yields the rows, and the
+    # walk over the grid's cells that it classifies
     tree = _tree(SRC / "cli.py")
     (scan,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "cmd_scan"]
-    (walk,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_CellWalk"]
-    assert [n for n in walk.body if isinstance(n, ast.FunctionDef) and n.name == "__iter__"]
-    for fn in (scan, walk):
+    (rows,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_CellWalk"]
+    assert [n for n in rows.body if isinstance(n, ast.FunctionDef) and n.name == "__iter__"]
+    (cells,) = [n for n in _tree(SRC / "components.py").body
+                if isinstance(n, ast.FunctionDef) and n.name == "_scan_cells"]
+    for fn in (scan, rows, cells):
         assert not [node for node in ast.walk(fn) if isinstance(node, ast.Try)]
