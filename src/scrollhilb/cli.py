@@ -28,6 +28,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import redirect_stderr, redirect_stdout
@@ -150,7 +151,7 @@ def _verify_report(report: comp.ClassificationReport) -> None:
         if rec.kind is comp.ComponentKind.GENERAL_MODULI:
             check = oracle.dim_via_parameter_count(report.params, rec.m)
         else:
-            gp = gonalmod.GonalParams(g=rec.g, t=rec.t, l=rec.l, d=rec.d)
+            gp = gonalmod.GonalParams(rec.g, rec.t, rec.l, rec.d)
             check = oracle.z_dim_via_parameter_count(gp)
         if check != rec.dim:
             mismatches.append(
@@ -161,10 +162,18 @@ def _verify_report(report: comp.ClassificationReport) -> None:
         raise _VerifyMismatch("".join(mismatches))
 
 
+def _int(token: str) -> int:
+    """The value of an optional '-' and ASCII digits; any other token (a
+    '+', a space, an underscore, a non-ASCII digit) raises int()'s error."""
+    if not re.fullmatch("-?[0-9]+", token):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
+
+
 def _parse_range(text: str) -> range:
     """The integers of 'A..B' (inclusive) or 'A'; rejects a malformed or empty range."""
     try:
-        lo, hi = map(int, text.split("..", 1)) if ".." in text else (int(text),) * 2
+        lo, hi = map(_int, text.split("..", 1)) if ".." in text else (_int(text),) * 2
     except ValueError as exc:
         raise InvalidParameters("malformed-range", str(exc)) from None
     if lo > hi:
@@ -178,8 +187,8 @@ def _parse_degree_policy(policy: str) -> tuple[int | None, list[int]]:
         if policy == "min":
             return 0, []
         if policy.startswith("+"):
-            return int(policy[1:]), []
-        return None, sorted({int(s) for s in policy.split(",")})
+            return _int(policy[1:]), []
+        return None, sorted({_int(s) for s in policy.split(",")})
     except ValueError as exc:
         raise InvalidParameters("malformed-degree-policy", str(exc)) from None
 

@@ -48,10 +48,11 @@ class ReportNote(NamedTuple):
 class ComponentRecord(NamedTuple):
     """One irreducible component of the Hilbert scheme.
 
-    General-moduli records carry the section degree ``m`` and are always
-    generically smooth; gonal records additionally carry (t, l) and leave
-    ``generically_smooth`` unasserted (None).  ``notes`` holds what the
-    classification states about this component alone: its boundary
+    Every record carries the section degree ``m``; a gonal record also
+    carries the gonality ``t``.  ``kind`` decides the two derived values:
+    a general-moduli component is generically smooth, a gonal one leaves
+    that unasserted (None) and is Z(t, l) with l = h1.  ``notes`` holds what
+    the classification states about this component alone: its boundary
     self-intersection, singular locus and singular overlap, the speciality-1
     subloci (on the single h1 = 1 record), or that a gonal Z(t, l) with
     l >= 3 lies in no general-moduli component.
@@ -63,11 +64,19 @@ class ComponentRecord(NamedTuple):
     h1: int
     m: int
     dim: int
-    generically_smooth: bool | None
     bundle_class: BundleClass | None
     t: int | None = None
-    l: int | None = None
     notes: tuple[ReportNote, ...] = ()
+
+    @property
+    def generically_smooth(self) -> bool | None:
+        """True for a general-moduli component, None (not asserted) for a gonal one."""
+        return True if self.kind is ComponentKind.GENERAL_MODULI else None
+
+    @property
+    def l(self) -> int | None:
+        """The speciality l = h1 of a gonal component Z(t, l); None otherwise."""
+        return self.h1 if self.kind is ComponentKind.GONAL else None
 
 
 # the one note whose text depends on nothing, built once
@@ -79,12 +88,25 @@ _SINGULAR_LOCUS = ReportNote(
 
 
 class ClassificationReport(NamedTuple):
+    """The components of the Hilbert scheme at ``params``, whether that list
+    is ``complete`` (it depends on ``include_gonal``, which the report does
+    not hold), and the ``notes`` about the whole Hilbert scheme.  Whether it
+    is ``reducible`` or ``equidimensional`` follows from the components."""
+
     params: ScrollParams
     components: list[ComponentRecord]
-    reducible: bool
-    equidimensional: bool
     complete: bool
     notes: list[ReportNote]
+
+    @property
+    def reducible(self) -> bool:
+        """More than one component."""
+        return len(self.components) > 1
+
+    @property
+    def equidimensional(self) -> bool:
+        """All components have one dimension (vacuously so for none)."""
+        return len({r.dim for r in self.components}) <= 1
 
 
 def admissible_m_range(g: int, h1: int) -> list[int]:
@@ -219,7 +241,7 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
                 ))
         records.append(ComponentRecord(
             ComponentKind.GENERAL_MODULI, d, g, h1, m, component_dimension_formula(d, g, h1, m),
-            True, bundle_class, None, None, tuple(notes),
+            bundle_class, None, tuple(notes),
         ))
 
     if h1 == 1:
@@ -248,7 +270,7 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
                     ))
                 records.append(ComponentRecord(
                     ComponentKind.GONAL, d, g, h1, gp.m, z_component_dimension(gp),
-                    None, BundleClass.UNSTABLE_DECOMPOSABLE, gp.t, gp.l, tuple(notes),
+                    BundleClass.UNSTABLE_DECOMPOSABLE, gp.t, tuple(notes),
                 ))
             if h1 == 2:
                 report_notes.append(ReportNote(
@@ -257,16 +279,8 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
                     "classification for speciality 2",
                 ))
 
-    dims = [r.dim for r in records]
     complete = h1 == 1 or (h1 == 2 and include_gonal)
-    return ClassificationReport(
-        params=p,
-        components=records,
-        reducible=len(records) > 1,
-        equidimensional=len(set(dims)) <= 1,
-        complete=complete,
-        notes=report_notes,
-    )
+    return ClassificationReport(p, records, complete, report_notes)
 
 
 def _scan_cells(genera: range, specialities: range, offset: int | None,

@@ -214,5 +214,5 @@ def enumerate_z_components(d: int, g: int, l: int) -> list[GonalParams]:
     for t in range(3, gonality_general(g)):
         if (l - 1) * (t - 1) >= g or kk_margin(g, t, l) < 0:
             break
-        out.append(GonalParams(g=g, t=t, l=l, d=d))
+        out.append(GonalParams(g, t, l, d))
     return out

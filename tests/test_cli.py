@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scrollhilb import components
+from scrollhilb import cli, components
 from scrollhilb import InvalidParameters, ScrollParams, classify, min_degree_threshold
 from scrollhilb.cli import COMPONENT_COLUMNS, _emit_csv, _emit_json, run
 from scrollhilb.components import ComponentKind, ComponentRecord, ReportNote
@@ -227,6 +227,51 @@ def test_scan_malformed_degree_policy_on_a_grid_without_cells():
     code, out, err = invoke("scan", "--g", "3..3", "--h1", "5..5", "--d", "abc")
     assert (code, out) == (2, "")
     assert err == "malformed-degree-policy: invalid literal for int() with base 10: 'abc'\n"
+
+
+# (flag, value, the first token it rejects): scan reads each range bound, the
+# K of '+K' and each list item as an optional '-' and ASCII digits, not as
+# whatever int() accepts (underscores, non-ASCII digits, a '+', spaces)
+MALFORMED_INTEGERS = [
+    ("--g", "1_0..1_0", "1_0"),
+    ("--h1", "\u0662", "\u0662"),
+    ("--g", "+8", "+8"),
+    ("--g", " 8", " 8"),
+    ("--h1", "8 ", "8 "),
+    ("--g", "3..1_0", "1_0"),
+    ("--d", "\u0662", "\u0662"),
+    ("--d", " 8", " 8"),
+    ("--d", "8 ", "8 "),
+    ("--d", "+ 1", " 1"),
+    ("--d", "++1", "+1"),
+    ("--d", "1,2_0", "2_0"),
+    ("--d", "235, 200", " 200"),
+]
+
+
+@pytest.mark.parametrize(("flag", "value", "token"), MALFORMED_INTEGERS,
+                         ids=[f"{flag} {value!r}" for flag, value, _ in MALFORMED_INTEGERS])
+def test_scan_reads_only_decimal_integers(flag, value, token):
+    argv = {"--g": "8", "--h1": "2", "--d": "min"} | {flag: value}
+    code, out, err = invoke("scan", *(f"{k}={v}" for k, v in argv.items()))
+    error = "malformed-degree-policy" if flag == "--d" else "malformed-range"
+    assert (code, out) == (2, "")
+    assert err == f"{error}: invalid literal for int() with base 10: {token!r}\n"
+
+
+@pytest.mark.parametrize(("flag", "value", "parsed"), [
+    ("--g", "-3..1", range(-3, 2)),
+    ("--h1", "8", range(8, 9)),
+    ("--d", "+-1", (-1, [])),
+    ("--d", "235,200,240", (None, [200, 235, 240])),
+    ("--d", "8", (None, [8])),
+])
+def test_scan_still_reads_signed_decimals(flag, value, parsed):
+    parse = cli._parse_degree_policy if flag == "--d" else cli._parse_range
+    assert parse(value) == parsed
+    # a leading '-' reads as a flag unless joined to its option by '='
+    argv = {"--g": "3..12", "--h1": "1..3", "--d": "min"} | {flag: value}
+    assert invoke("scan", *(f"{k}={v}" for k, v in argv.items()))[0] == 0
 
 
 def _classify_accepts(d: int, g: int, h1: int) -> bool:
@@ -464,8 +509,7 @@ _RECORDS = st.lists(
     st.builds(
         ComponentRecord,
         st.sampled_from(ComponentKind), _INT, _INT, _INT, _INT, _INT,
-        st.none() | st.booleans(), st.none() | st.sampled_from(BundleClass),
-        st.none() | _INT, st.none() | _INT,
+        st.none() | st.sampled_from(BundleClass), st.none() | _INT,
         st.lists(st.builds(ReportNote, _TEXT, _TEXT), max_size=4).map(tuple),
     ),
     max_size=4,

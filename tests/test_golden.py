@@ -332,7 +332,7 @@ def library_transcript():
 
 
 LIBRARY_LINES = 153601
-LIBRARY_DIGEST = "e5cba58387e2cd263664bcee12d5fd179a948010021938d862d9a77506a7190f"
+LIBRARY_DIGEST = "2a4636ecd2782b2504f17c4bd0ad8776ee90cae00d733260d78be6cfc03e123b"
 
 
 def test_library_transcript_golden():

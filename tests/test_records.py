@@ -25,7 +25,9 @@ from scrollhilb import (
     make_scroll,
     section_data,
 )
+from scrollhilb.components import ClassificationReport, ComponentKind, ComponentRecord
 from scrollhilb.errors import _Checked
+from grids import GMAX, degree_values, speciality_values
 from test_gonal import large_gonal_params
 
 # (record type, valid constructor arguments, a field, a value out of its range)
@@ -101,6 +103,10 @@ def test_a_record_is_the_tuple_of_its_fields():
     assert GonalParams(19, 3, 5, 110) == (19, 3, 5, 110)
     assert p._fields == ("d", "g", "h1")
     assert GonalParams._fields == ("g", "t", "l", "d")
+    assert ComponentRecord._fields == (
+        "kind", "d", "g", "h1", "m", "dim", "bundle_class", "t", "notes"
+    )
+    assert ClassificationReport._fields == ("params", "components", "complete", "notes")
 
 
 def test_every_validated_record_builds_through_the_shared_make():
@@ -134,3 +140,43 @@ def test_the_make_names_are_the_constructors():
     assert make_scroll is ScrollParams
     assert make_gonal_params is GonalParams
     assert make_projection_params is ProjectionParams
+
+
+def test_classification_flags_are_derived_from_the_components():
+    # the acceptance grid, with and without the gonal components
+    seen = set()
+    for g in range(3, GMAX + 1):
+        for h1 in speciality_values(g):
+            for d in degree_values(g, h1):
+                for include_gonal in (False, True):
+                    report = classify(ScrollParams(d, g, h1), include_gonal)
+                    dims = [r.dim for r in report.components]
+                    assert report.reducible == (len(dims) > 1)
+                    assert report.equidimensional == all(x == dims[0] for x in dims)
+                    for rec in report.components:
+                        general = rec.kind is ComponentKind.GENERAL_MODULI
+                        assert (rec.t is None) == general
+                        assert rec.generically_smooth is (True if general else None)
+                        assert rec.l == (None if general else h1)
+                        seen.add(rec.kind)
+                    seen.add(("reducible", report.reducible))
+                    seen.add(("equidimensional", report.equidimensional))
+    # each value of each derived name occurs on the grid
+    assert seen == {*ComponentKind, *((name, flag) for name in ("reducible", "equidimensional")
+                                      for flag in (False, True))}
+
+
+def test_derived_classification_values_are_not_fields():
+    report = classify(ScrollParams(235, 40, 2), True)
+    rec = report.components[-1]
+    assert rec.kind is ComponentKind.GONAL and rec.l == 2
+    for record, name in ((rec, "l"), (rec, "generically_smooth"),
+                         (report, "reducible"), (report, "equidimensional")):
+        with pytest.raises(ValueError):
+            record._replace(**{name: getattr(record, name)})
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(TypeError):
+        ComponentRecord(*rec[:8], l=3)
+    with pytest.raises(TypeError):
+        ClassificationReport(*report, reducible=True)
