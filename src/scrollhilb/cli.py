@@ -170,6 +170,15 @@ def _int(token: str) -> int:
     return int(token)
 
 
+def _int_flag(token: str) -> int:
+    """The argparse type of every integer flag: ``_int``'s grammar, and on
+    any other token the line argparse writes for an int flag."""
+    try:
+        return _int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+
+
 def _parse_range(text: str) -> range:
     """The integers of 'A..B' (inclusive) or 'A'; rejects a malformed or empty range."""
     try:
@@ -321,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cross-check dimensions against the parameter-count oracle")
 
     sp = sub.add_parser("classify", help="components for one (d, g, h1)")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--h1", type=int, required=True)
+    sp.add_argument("--d", type=_int_flag, required=True)
+    sp.add_argument("--g", type=_int_flag, required=True)
+    sp.add_argument("--h1", type=_int_flag, required=True)
     sp.add_argument("--gonal", action="store_true",
                     help="append gonal-curve components of the same speciality")
     common(sp)
@@ -340,21 +349,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("gonal", help="gonal-curve component record")
-    sp.add_argument("--g", type=int)
-    sp.add_argument("--t", type=int)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--d", type=int)
+    sp.add_argument("--g", type=_int_flag)
+    sp.add_argument("--t", type=_int_flag)
+    sp.add_argument("--l", type=_int_flag, required=True)
+    sp.add_argument("--d", type=_int_flag)
     sp.add_argument("--family-19608", action="store_true", dest="family_19608",
                     help="the minimal family t=3, g=3l+4, d=6g-5")
     common(sp)
     sp.set_defaults(func=cmd_gonal)
 
     sp = sub.add_parser("project", help="projected-family dimension bounds")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--d", type=_int_flag, required=True)
+    sp.add_argument("--g", type=_int_flag, required=True)
+    sp.add_argument("--l", type=_int_flag, required=True)
+    sp.add_argument("--k", type=_int_flag, required=True)
+    sp.add_argument("--m", type=_int_flag, required=True)
     common(sp)
     sp.set_defaults(func=cmd_project)
 

@@ -79,24 +79,58 @@ class ComponentRecord(NamedTuple):
         return self.h1 if self.kind is ComponentKind.GONAL else None
 
 
-# the one note whose text depends on nothing, built once
+# the notes whose texts depend on nothing, each built once
 _SINGULAR_LOCUS = ReportNote(
     "singular-locus",
     "scrolls whose residual series has base points are "
     "singular points of the Hilbert scheme",
 )
+_CLOSURE_CONTAINMENT = ReportNote(
+    "closure-containment",
+    "every family with section degree below 2g - 2 lies in the "
+    "closure of the canonical-section component",
+)
+_CONNECTED = ReportNote("connected", "the Hilbert scheme locus is connected")
+_NO_GONAL_COMPONENTS = ReportNote(
+    "no-gonal-components", "gonal-curve components require speciality >= 2"
+)
+_COMPLETE = ReportNote(
+    "complete",
+    "general-moduli and gonal components exhaust the "
+    "classification for speciality 2",
+)
+# the report notes of each case, each tuple built once
+_SPECIALITY_1_NOTES = (_CLOSURE_CONTAINMENT, _CONNECTED)
+_SPECIALITY_1_GONAL_NOTES = (*_SPECIALITY_1_NOTES, _NO_GONAL_COMPONENTS)
+_SPECIALITY_2_GONAL_NOTES = (_COMPLETE,)
 
 
 class ClassificationReport(NamedTuple):
-    """The components of the Hilbert scheme at ``params``, whether that list
-    is ``complete`` (it depends on ``include_gonal``, which the report does
-    not hold), and the ``notes`` about the whole Hilbert scheme.  Whether it
-    is ``reducible`` or ``equidimensional`` follows from the components."""
+    """The question :func:`classify` answered, the Hilbert scheme at
+    ``params`` with or without the gonal components (``include_gonal``), and
+    its answer, the ``components``.  Four values follow from these fields:
+    whether the list is ``complete``, the ``notes`` about the whole Hilbert
+    scheme, and whether it is ``reducible`` or ``equidimensional``."""
 
     params: ScrollParams
     components: list[ComponentRecord]
-    complete: bool
-    notes: list[ReportNote]
+    include_gonal: bool
+
+    @property
+    def complete(self) -> bool:
+        """Speciality 1, or speciality 2 with the gonal components."""
+        h1 = self.params.h1
+        return h1 == 1 or (h1 == 2 and self.include_gonal)
+
+    @property
+    def notes(self) -> tuple[ReportNote, ...]:
+        """At speciality 1: closure containment, connectedness and, with
+        ``include_gonal``, that there are no gonal components; at speciality
+        2 with ``include_gonal``: completeness; otherwise none."""
+        h1 = self.params.h1
+        if h1 == 1:
+            return _SPECIALITY_1_GONAL_NOTES if self.include_gonal else _SPECIALITY_1_NOTES
+        return _SPECIALITY_2_GONAL_NOTES if h1 == 2 and self.include_gonal else ()
 
     @property
     def reducible(self) -> bool:
@@ -193,8 +227,9 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
     subloci).  With ``include_gonal``, appends every valid gonal component
     Z(t, h1); for speciality 2 this makes the classification complete.
     Records are ordered by increasing m, then by gonality, and each carries
-    the notes about that component; the report's own notes are the
-    statements about the whole Hilbert scheme.
+    the notes about that component.  The report holds ``p``, the records and
+    ``include_gonal``; its notes about the whole Hilbert scheme and its
+    ``complete`` flag follow from h1 and ``include_gonal``.
     """
     d, g, h1 = p.d, p.g, p.h1
     _degree_threshold(g, h1, d)
@@ -204,7 +239,6 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
             f"classify: speciality-1 range ends at m = {hi}, not 2g - 2 = {2 * g - 2}"
         )
 
-    report_notes: list[ReportNote] = []
     records: list[ComponentRecord] = []
 
     # Past the checks above, every section has h = m - g + h1 >= 2; a
@@ -244,43 +278,21 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
             bundle_class, None, tuple(notes),
         ))
 
-    if h1 == 1:
-        report_notes += [
-            ReportNote(
-                "closure-containment",
-                "every family with section degree below 2g - 2 lies in the "
-                "closure of the canonical-section component",
-            ),
-            ReportNote("connected", "the Hilbert scheme locus is connected"),
-        ]
-
-    if include_gonal:
-        if h1 < 2:
-            report_notes.append(ReportNote(
-                "no-gonal-components", "gonal-curve components require speciality >= 2"
+    if include_gonal and h1 >= 2:
+        for gp in enumerate_z_components(d, g, h1):
+            notes = []
+            if gp.l >= 3:  # then the excess is positive (z_vs_h_difference)
+                notes.append(ReportNote(
+                    "not-contained",
+                    f"Z({gp.t},{gp.l}) is not contained in any general-moduli "
+                    f"component (dimension excess {z_vs_h_difference(gp)})",
+                ))
+            records.append(ComponentRecord(
+                ComponentKind.GONAL, d, g, h1, gp.m, z_component_dimension(gp),
+                BundleClass.UNSTABLE_DECOMPOSABLE, gp.t, tuple(notes),
             ))
-        else:
-            for gp in enumerate_z_components(d, g, h1):
-                notes = []
-                if gp.l >= 3:  # then the excess is positive (z_vs_h_difference)
-                    notes.append(ReportNote(
-                        "not-contained",
-                        f"Z({gp.t},{gp.l}) is not contained in any general-moduli "
-                        f"component (dimension excess {z_vs_h_difference(gp)})",
-                    ))
-                records.append(ComponentRecord(
-                    ComponentKind.GONAL, d, g, h1, gp.m, z_component_dimension(gp),
-                    BundleClass.UNSTABLE_DECOMPOSABLE, gp.t, tuple(notes),
-                ))
-            if h1 == 2:
-                report_notes.append(ReportNote(
-                    "complete",
-                    "general-moduli and gonal components exhaust the "
-                    "classification for speciality 2",
-                ))
 
-    complete = h1 == 1 or (h1 == 2 and include_gonal)
-    return ClassificationReport(p, records, complete, report_notes)
+    return ClassificationReport(p, records, include_gonal)
 
 
 def _scan_cells(genera: range, specialities: range, offset: int | None,

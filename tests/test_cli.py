@@ -492,6 +492,39 @@ def test_argparse_errors_reach_the_given_stderr(argv, monkeypatch):
     assert lines[-1].startswith(ARGPARSE_ERRORS[argv])
 
 
+# every integer flag of classify, gonal and project reads an optional '-' and
+# ASCII digits, as scan reads its integers, not whatever int() accepts
+@pytest.mark.parametrize(("argv", "flag", "token"), [
+    (["classify", "--d", "3_1", "--g", "8", "--h1", "2"], "--d", "3_1"),
+    (["classify", "--d", "\u0662", "--g", "8", "--h1", "2"], "--d", "\u0662"),
+    (["classify", "--d", "+31", "--g", "8", "--h1", "2"], "--d", "+31"),
+    (["classify", "--d", " 31", "--g", "8", "--h1", "2"], "--d", " 31"),
+    (["gonal", "--g", "1_9", "--t", "3", "--l", "5", "--d", "110"], "--g", "1_9"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_integer_flags_read_only_decimal_integers(argv, flag, token, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(*argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"scrollhilb {argv[0]}: error: argument {flag}: invalid int value: {token!r}"
+    )
+
+
+def test_integer_flags_still_read_signed_decimals():
+    # a negative value passes the grammar and meets the library's own check
+    assert invoke("project", "--d", "28", "--g", "8", "--l", "1", "--k", "-1", "--m", "14") == (
+        2, "", "k-out-of-range: k = -1 not in [0, l) with l = 1\n"
+    )
+    for argv in (["classify", "--d", "31", "--g", "8", "--h1", "2"],
+                 ["gonal", "--g", "19", "--t", "3", "--l", "5", "--d", "110"],
+                 ["project", "--d", "28", "--g", "8", "--l", "1", "--k", "0", "--m", "14"]):
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, "") and json.loads(out)
+        # a value with a leading zero is the same integer: the same bytes
+        padded = [f"0{a}" if a.isdigit() else a for a in argv]
+        assert invoke(*padded) == (code, out, err)
+
+
 def test_help_reaches_the_given_stdout(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     code, out, err = invoke("classify", "--help")

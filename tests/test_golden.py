@@ -332,7 +332,7 @@ def library_transcript():
 
 
 LIBRARY_LINES = 153601
-LIBRARY_DIGEST = "2a4636ecd2782b2504f17c4bd0ad8776ee90cae00d733260d78be6cfc03e123b"
+LIBRARY_DIGEST = "7b715f4287db187d04baa95f3c9c83ce4229c6affb539b80a2645eb69729e3fc"
 
 
 def test_library_transcript_golden():

@@ -106,7 +106,7 @@ def test_a_record_is_the_tuple_of_its_fields():
     assert ComponentRecord._fields == (
         "kind", "d", "g", "h1", "m", "dim", "bundle_class", "t", "notes"
     )
-    assert ClassificationReport._fields == ("params", "components", "complete", "notes")
+    assert ClassificationReport._fields == ("params", "components", "include_gonal")
 
 
 def test_every_validated_record_builds_through_the_shared_make():
@@ -142,17 +142,32 @@ def test_the_make_names_are_the_constructors():
     assert make_projection_params is ProjectionParams
 
 
+def _report_note_codes(h1: int, include_gonal: bool) -> list[str]:
+    """The codes of the report-wide notes, in order, by speciality."""
+    if h1 == 1:
+        return ["closure-containment", "connected"] + ["no-gonal-components"] * include_gonal
+    return ["complete"] if h1 == 2 and include_gonal else []
+
+
 def test_classification_flags_are_derived_from_the_components():
     # the acceptance grid, with and without the gonal components
     seen = set()
+    notes_of_case = {}
     for g in range(3, GMAX + 1):
         for h1 in speciality_values(g):
             for d in degree_values(g, h1):
                 for include_gonal in (False, True):
                     report = classify(ScrollParams(d, g, h1), include_gonal)
+                    assert report.include_gonal is include_gonal
                     dims = [r.dim for r in report.components]
                     assert report.reducible == (len(dims) > 1)
                     assert report.equidimensional == all(x == dims[0] for x in dims)
+                    codes = _report_note_codes(h1, include_gonal)
+                    assert [n.code for n in report.notes] == codes
+                    assert report.complete is (h1 == 1 or (h1 == 2 and include_gonal))
+                    # one shared tuple per case, not a list built per report
+                    assert type(report.notes) is tuple
+                    assert notes_of_case.setdefault(tuple(codes), report.notes) is report.notes
                     for rec in report.components:
                         general = rec.kind is ComponentKind.GENERAL_MODULI
                         assert (rec.t is None) == general
@@ -161,9 +176,16 @@ def test_classification_flags_are_derived_from_the_components():
                         seen.add(rec.kind)
                     seen.add(("reducible", report.reducible))
                     seen.add(("equidimensional", report.equidimensional))
-    # each value of each derived name occurs on the grid
+    # each value of each derived name occurs on the grid, and each case of
+    # the report notes: h1 = 1 both ways, h1 = 2 with the gonal components, none
     assert seen == {*ComponentKind, *((name, flag) for name in ("reducible", "equidimensional")
                                       for flag in (False, True))}
+    assert set(notes_of_case) == {
+        ("closure-containment", "connected"),
+        ("closure-containment", "connected", "no-gonal-components"),
+        ("complete",),
+        (),
+    }
 
 
 def test_derived_classification_values_are_not_fields():
@@ -171,7 +193,8 @@ def test_derived_classification_values_are_not_fields():
     rec = report.components[-1]
     assert rec.kind is ComponentKind.GONAL and rec.l == 2
     for record, name in ((rec, "l"), (rec, "generically_smooth"),
-                         (report, "reducible"), (report, "equidimensional")):
+                         (report, "reducible"), (report, "equidimensional"),
+                         (report, "complete"), (report, "notes")):
         with pytest.raises(ValueError):
             record._replace(**{name: getattr(record, name)})
         with pytest.raises(AttributeError):
@@ -180,3 +203,6 @@ def test_derived_classification_values_are_not_fields():
         ComponentRecord(*rec[:8], l=3)
     with pytest.raises(TypeError):
         ClassificationReport(*report, reducible=True)
+    # complete and notes are not constructor arguments
+    with pytest.raises(TypeError):
+        ClassificationReport(report.params, [], True, [])
