@@ -163,9 +163,12 @@ def _verify_report(report: comp.ClassificationReport) -> None:
 
 
 def _int(token: str) -> int:
-    """The value of an optional '-' and ASCII digits; any other token (a
-    '+', a space, an underscore, a non-ASCII digit) raises int()'s error."""
-    if not re.fullmatch("-?[0-9]+", token):
+    """The value of an optional '-' and at most 2,000 ASCII digits; any other
+    token (a '+', a space, an underscore, a non-ASCII digit, more digits)
+    raises int()'s error.  Every integer the CLI prints is at most quadratic
+    in its inputs, so the bound keeps each printed one near 4,001 digits,
+    below CPython's default limit of 4,300 for int-to-str conversion."""
+    if not re.fullmatch("-?[0-9]{1,2000}", token):
         raise ValueError(f"invalid literal for int() with base 10: {token!r}")
     return int(token)
 

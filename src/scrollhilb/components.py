@@ -108,12 +108,13 @@ _SPECIALITY_2_GONAL_NOTES = (_COMPLETE,)
 class ClassificationReport(NamedTuple):
     """The question :func:`classify` answered, the Hilbert scheme at
     ``params`` with or without the gonal components (``include_gonal``), and
-    its answer, the ``components``.  Four values follow from these fields:
-    whether the list is ``complete``, the ``notes`` about the whole Hilbert
-    scheme, and whether it is ``reducible`` or ``equidimensional``."""
+    its answer, the tuple of ``components``.  Four values follow from these
+    fields: whether the answer is ``complete``, the ``notes`` about the
+    whole Hilbert scheme, and whether it is ``reducible`` or
+    ``equidimensional``."""
 
     params: ScrollParams
-    components: list[ComponentRecord]
+    components: tuple[ComponentRecord, ...]
     include_gonal: bool
 
     @property
@@ -227,9 +228,9 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
     subloci).  With ``include_gonal``, appends every valid gonal component
     Z(t, h1); for speciality 2 this makes the classification complete.
     Records are ordered by increasing m, then by gonality, and each carries
-    the notes about that component.  The report holds ``p``, the records and
-    ``include_gonal``; its notes about the whole Hilbert scheme and its
-    ``complete`` flag follow from h1 and ``include_gonal``.
+    the notes about that component.  The report holds ``p``, the tuple of
+    records and ``include_gonal``; its notes about the whole Hilbert scheme
+    and its ``complete`` flag follow from h1 and ``include_gonal``.
     """
     d, g, h1 = p.d, p.g, p.h1
     _degree_threshold(g, h1, d)
@@ -292,7 +293,7 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
                 BundleClass.UNSTABLE_DECOMPOSABLE, gp.t, tuple(notes),
             ))
 
-    return ClassificationReport(p, records, include_gonal)
+    return ClassificationReport(p, tuple(records), include_gonal)
 
 
 def _scan_cells(genera: range, specialities: range, offset: int | None,

@@ -79,8 +79,7 @@ def special_residual_series(g: int, t: int, r: int) -> SeriesSpec:
     a = ballico_a(g, t)
     if not 1 <= r <= a - 2:
         raise InvalidParameters("r-out-of-range", f"r = {r} not in [1, {a - 2}]")
-    m = 2 * g - 2 - r * t
-    return SeriesSpec(g=g, m=m, h=g - r * (t - 1) - 1, i=r + 1)
+    return SeriesSpec(g, 2 * g - 2 - r * t, r + 1)
 
 
 class _GonalFields(NamedTuple):

@@ -87,26 +87,22 @@ class SectionData(NamedTuple):
     t_ext: int
 
 
-class _CohomologyFields(NamedTuple):
+class CohomologyTriple(NamedTuple):
+    """Cohomology of the normal bundle of a scroll in its ambient space:
+    ``h0`` and ``h1n`` are its h0 and h1; h2 and chi follow from them."""
+
     h0: int
     h1n: int
-    h2: int
-    chi: int
 
+    @property
+    def h2(self) -> int:
+        """h2 of the normal bundle, which vanishes."""
+        return 0
 
-class CohomologyTriple(_Checked, _CohomologyFields):
-    """Cohomology of the normal bundle of a scroll in its ambient space."""
-
-    __slots__ = ()
-
-    def __new__(cls, h0: int, h1n: int, h2: int, chi: int):
-        if h2 != 0:
-            raise InvalidParameters("cohomology-inconsistent", f"h2 = {h2} != 0")
-        if chi != h0 - h1n:
-            raise InvalidParameters(
-                "cohomology-inconsistent", f"chi = {chi} != h0 - h1n = {h0 - h1n}"
-            )
-        return tuple.__new__(cls, (h0, h1n, h2, chi))
+    @property
+    def chi(self) -> int:
+        """Euler characteristic h0 - h1n (h2 vanishes)."""
+        return self.h0 - self.h1n
 
 
 def section_uniqueness_threshold(g: int, h1: int) -> int:
@@ -227,8 +223,9 @@ def normal_bundle_cohomology(
     chi = 7(g-1) + (R+1)(R+1-h1) and
     h1n = h1*(d-m-g+1) - (d-2m+g-1) + t, where ``t`` counts base points of
     the residual series of the special section (0 for a general section).
-    h2 vanishes.  A negative h1n signals a hypothesis violation upstream
-    (e.g. speciality 1 with a non-canonical section and t = 0).
+    h2 vanishes, so the triple holds h0 = chi + h1n and h1n, and gives chi
+    back as h0 - h1n.  A negative h1n signals a hypothesis violation
+    upstream (e.g. speciality 1 with a non-canonical section and t = 0).
     """
     require_admissible(p, m)
     if t_basepoints < 0:
@@ -238,7 +235,7 @@ def normal_bundle_cohomology(
     h1n = p.h1 * (p.d - m - p.g + 1) - (p.d - 2 * m + p.g - 1) + t_basepoints
     if h1n < 0:
         raise InvalidParameters("negative-h1", f"h1(normal bundle) = {h1n} < 0")
-    return CohomologyTriple(h0=chi + h1n, h1n=h1n, h2=0, chi=chi)
+    return CohomologyTriple(chi + h1n, h1n)
 
 
 def h0_explicit(p: ScrollParams, m: int) -> int:

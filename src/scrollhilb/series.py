@@ -17,31 +17,33 @@ from .errors import InvalidParameters, _Checked
 class _SeriesFields(NamedTuple):
     g: int
     m: int
-    h: int
     i: int
 
 
 class SeriesSpec(_Checked, _SeriesFields):
-    """A complete special linear series of degree ``m`` on a genus-``g`` curve.
+    """A complete special linear series of degree ``m`` and speciality ``i``
+    on a genus-``g`` curve.
 
-    ``h`` is the projective dimension of the series and ``i`` its speciality;
-    Riemann-Roch forces ``h = m - g + i``.
+    Its projective dimension ``h`` is m - g + i by Riemann-Roch; the
+    constructor rejects g < 2, then i < 0 or h < 0.
     """
 
     __slots__ = ()
 
-    def __new__(cls, g: int, m: int, h: int, i: int):
+    def __new__(cls, g: int, m: int, i: int):
         if g < 2:
             raise InvalidParameters("genus-too-small", f"g = {g} < 2")
+        h = m - g + i
         if i < 0 or h < 0:
             raise InvalidParameters(
                 "riemann-roch-inconsistent", f"h = {h}, i = {i} must be >= 0"
             )
-        if h != m - g + i:
-            raise InvalidParameters(
-                "riemann-roch-inconsistent", f"h = {h} != m - g + i = {m - g + i}"
-            )
-        return tuple.__new__(cls, (g, m, h, i))
+        return tuple.__new__(cls, (g, m, i))
+
+    @property
+    def h(self) -> int:
+        """Projective dimension m - g + i (Riemann-Roch)."""
+        return self.m - self.g + self.i
 
     @property
     def h0(self) -> int:

@@ -525,6 +525,43 @@ def test_integer_flags_still_read_signed_decimals():
         assert invoke(*padded) == (code, out, err)
 
 
+_DIGITS_2000, _DIGITS_2001 = "9" * 2000, "9" * 2001
+
+
+@pytest.mark.parametrize("argv, code_or_flag", [
+    (["classify", "--d", _DIGITS_2001, "--g", "3", "--h1", "1"], "--d"),
+    (["scan", "--g", "3..4", "--h1", "1..1", "--d", f"30,{_DIGITS_2001}"],
+     "malformed-degree-policy"),
+    (["scan", "--g", f"3..{_DIGITS_2001}", "--h1", "1..1", "--d", "min"], "malformed-range"),
+    (["gonal", "--g", "19", "--t", "3", "--l", "5", "--d", _DIGITS_2001], "--d"),
+    (["project", "--d", _DIGITS_2001, "--g", "9", "--l", "1", "--k", "0", "--m", "16"], "--d"),
+], ids=["classify", "scan-d", "scan-g", "gonal", "project"])
+def test_an_integer_of_more_than_2000_digits_exits_2(argv, code_or_flag, monkeypatch):
+    # each printed integer is at most quadratic in the inputs, so 2,000
+    # digits keep it below CPython's 4,300-digit limit for str(int)
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(*argv)
+    assert (code, out) == (2, "")
+    if code_or_flag.startswith("--"):
+        assert err.splitlines()[-1] == (f"scrollhilb {argv[0]}: error: argument "
+                                        f"{code_or_flag}: invalid int value: '{_DIGITS_2001}'")
+    else:
+        assert err == (f"{code_or_flag}: invalid literal for int() with base 10: "
+                       f"'{_DIGITS_2001}'\n")
+
+
+def test_integers_of_2000_digits_print():
+    g = 10**1999  # 2,000 digits, as are d = 4g + 1 and the divisor degree 2g - 2
+    for argv in (["classify", "--d", _DIGITS_2000, "--g", "3", "--h1", "1", "--verify"],
+                 ["gonal", "--g", "19", "--t", "3", "--l", "5", "--d", _DIGITS_2000],
+                 ["project", "--d", str(4 * g + 1), "--g", str(g), "--l", "1", "--k", "0",
+                  "--m", str(2 * g - 2), "--verify"]):
+        assert max(len(a) for a in argv) == 2000
+        for fmt in ("json", "csv"):
+            code, out, err = invoke(*argv, "--format", fmt)
+            assert (code, err) == (0, "") and out
+
+
 def test_help_reaches_the_given_stdout(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     code, out, err = invoke("classify", "--help")

@@ -296,8 +296,7 @@ def library_transcript():
             lo, hi = bounds if isinstance(bounds[0], int) else (g + 3 - h1, g + 3)
             ms = sorted({3, lo - 1, lo, hi, hi + 1, 2 * g - 3, 2 * g - 2})
             for m in ms:
-                yield rec(lib.SeriesSpec, g, m, m - g + h1, h1)
-                yield rec(lib.SeriesSpec, g, m, m - g + h1 + 1, h1)
+                yield rec(lib.SeriesSpec, g, m, h1)
                 yield rec(lib.sublocus_codim_h1_1, g, m)
                 yield rec(lib.singular_by_smaller_section, g, h1, hi, m)
                 yield rec(lib.singular_by_smaller_section, g, h1, m, lo)
@@ -331,8 +330,8 @@ def library_transcript():
                         yield rec(lib.ProjectionParams, d, g, h1, k, m)
 
 
-LIBRARY_LINES = 153601
-LIBRARY_DIGEST = "7b715f4287db187d04baa95f3c9c83ce4229c6affb539b80a2645eb69729e3fc"
+LIBRARY_LINES = 149943
+LIBRARY_DIGEST = "ee80a613690c2e7e1bc9497ce2ea8123e155d881254a8e3b40b6737e8b4b0dcc"
 
 
 def test_library_transcript_golden():

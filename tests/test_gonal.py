@@ -101,7 +101,7 @@ def test_special_residual_series_examples():
     s = special_residual_series(8, 3, 1)
     assert (s.m, s.i, s.h) == (11, 2, 5)
     assert s.h0 == 8 - 2
-    # Riemann-Roch consistency is enforced by the record itself
+    # the record derives h = m - g + i by Riemann-Roch
     assert s.h + 1 == s.m - s.g + 1 + s.i
 
 

@@ -23,18 +23,18 @@ from scrollhilb import (
     make_gonal_params,
     make_projection_params,
     make_scroll,
+    riemann_roch_h0,
     section_data,
 )
 from scrollhilb.components import ClassificationReport, ComponentKind, ComponentRecord
 from scrollhilb.errors import _Checked
-from grids import GMAX, degree_values, speciality_values
+from grids import GMAX, degree_values, scroll_grid, speciality_values
 from test_gonal import large_gonal_params
 
 # (record type, valid constructor arguments, a field, a value out of its range)
 VALIDATED = [
     (ScrollParams, {"d": 10, "g": 3, "h1": 1}, "h1", 3),
-    (SeriesSpec, {"g": 5, "m": 8, "h": 4, "i": 1}, "h", 5),
-    (CohomologyTriple, {"h0": 56, "h1n": 0, "h2": 0, "chi": 56}, "h2", 1),
+    (SeriesSpec, {"g": 5, "m": 8, "i": 1}, "i", -1),
     (GonalParams, {"g": 19, "t": 3, "l": 5, "d": 110}, "d", 108),
     (ProjectionParams, {"d": 40, "g": 9, "l": 1, "k": 0, "m": 16}, "k", 1),
 ]
@@ -48,8 +48,8 @@ def _validated_records() -> list:
 def _plain_records() -> list:
     p = ScrollParams(40, 9, 1)
     report = classify(p)
-    return [section_data(p, 16), divisor_case(40, 9), report.components[0],
-            report.components[0].notes[0], report]
+    return [section_data(p, 16), divisor_case(40, 9), CohomologyTriple(56, 0),
+            report.components[0], report.components[0].notes[0], report]
 
 
 @pytest.mark.parametrize("cls, args, field, bad", VALIDATED, ids=IDS)
@@ -86,6 +86,19 @@ def test_records_are_read_only(record):
         record.extra = 0
 
 
+def _lists_in(value) -> list:
+    """The lists in a value, looking into nested tuples."""
+    if isinstance(value, list):
+        return [value]
+    return [x for item in value for x in _lists_in(item)] if isinstance(value, tuple) else []
+
+
+@pytest.mark.parametrize("record", _validated_records() + _plain_records(),
+                         ids=lambda r: type(r).__name__)
+def test_records_hold_no_list(record):
+    assert _lists_in(record) == []
+
+
 @pytest.mark.parametrize("record", _validated_records() + _plain_records(),
                          ids=lambda r: type(r).__name__)
 def test_copy_and_pickle_return_an_equal_record(record):
@@ -103,6 +116,8 @@ def test_a_record_is_the_tuple_of_its_fields():
     assert GonalParams(19, 3, 5, 110) == (19, 3, 5, 110)
     assert p._fields == ("d", "g", "h1")
     assert GonalParams._fields == ("g", "t", "l", "d")
+    assert CohomologyTriple._fields == ("h0", "h1n")
+    assert SeriesSpec._fields == ("g", "m", "i")
     assert ComponentRecord._fields == (
         "kind", "d", "g", "h1", "m", "dim", "bundle_class", "t", "notes"
     )
@@ -159,6 +174,7 @@ def test_classification_flags_are_derived_from_the_components():
                 for include_gonal in (False, True):
                     report = classify(ScrollParams(d, g, h1), include_gonal)
                     assert report.include_gonal is include_gonal
+                    assert type(report.components) is tuple
                     dims = [r.dim for r in report.components]
                     assert report.reducible == (len(dims) > 1)
                     assert report.equidimensional == all(x == dims[0] for x in dims)
@@ -206,3 +222,26 @@ def test_derived_classification_values_are_not_fields():
     # complete and notes are not constructor arguments
     with pytest.raises(TypeError):
         ClassificationReport(report.params, [], True, [])
+
+
+def test_h2_chi_and_h_are_properties_not_fields():
+    c, s = CohomologyTriple(5, 2), SeriesSpec(19, 24, 5)
+    assert (c.h2, c.chi) == (0, 3) and c == (5, 2)
+    assert (s.h, s.h0) == (10, 11) and s == (19, 24, 5)
+    for record, name in ((c, "h2"), (c, "chi"), (s, "h")):
+        with pytest.raises(ValueError):
+            record._replace(**{name: getattr(record, name)})
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    # the four-argument calls of the records that stored them
+    with pytest.raises(TypeError):
+        CohomologyTriple(5, 2, 0, 3)
+    with pytest.raises(TypeError):
+        SeriesSpec(19, 24, 10, 5)
+
+
+def test_series_dimension_follows_riemann_roch_on_the_grid():
+    # the series of each grid section: h = m - g + i, and h0 by riemann_roch_h0
+    for p, m in scroll_grid():
+        s = SeriesSpec(p.g, m, p.h1)
+        assert s.h == m - p.g + p.h1 and s.h0 == riemann_roch_h0(p.g, m, p.h1)

@@ -3,19 +3,13 @@ normal-bundle cohomology, automorphisms, stability."""
 
 from __future__ import annotations
 
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import scrollhilb
 from grids import scroll_grid
 from scrollhilb import (
     BundleClass,
-    CohomologyTriple,
     InvalidParameters,
     ScrollParams,
     aut_dimension,
@@ -64,32 +58,6 @@ def test_scroll_ambient_sandwich_follows_from_validation(data, g):
     assert d - 2 * g + 1 <= p.R <= d - g + 1
     # hence no ambient-dimension check: R >= 4, and r >= 3 for a projection
     assert p.R >= 4 and d - 2 * g + 1 >= 3
-
-
-def test_cohomology_triple_rejects_inconsistent_values():
-    assert CohomologyTriple(h0=5, h1n=2, h2=0, chi=3).chi == 3
-    for args, detail in (
-        ((5, 2, 1, 3), "h2 = 1 != 0"),
-        ((5, 2, 0, 4), "chi = 4 != h0 - h1n = 3"),
-    ):
-        with pytest.raises(InvalidParameters) as exc:
-            CohomologyTriple(*args)
-        assert (exc.value.code, exc.value.detail) == ("cohomology-inconsistent", detail)
-
-
-def test_cohomology_triple_check_fires_under_optimize():
-    src = str(Path(scrollhilb.__file__).resolve().parents[1])
-    code = (
-        "from scrollhilb import CohomologyTriple, InvalidParameters\n"
-        "for args in ((5, 2, 1, 3), (5, 2, 0, 4)):\n"
-        "    try:\n        CohomologyTriple(*args)\n"
-        "    except InvalidParameters as exc:\n        print(exc.code)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env={"PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert out == "cohomology-inconsistent\ncohomology-inconsistent\n"
 
 
 def test_min_degree_threshold():

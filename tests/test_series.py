@@ -120,13 +120,17 @@ def test_max_special_degree_rejects_bad_speciality():
 
 
 def test_series_spec_invariants():
-    s = SeriesSpec(g=19, m=24, h=10, i=5)
-    assert s.h0 == 11
+    s = SeriesSpec(g=19, m=24, i=5)
+    assert (s.h, s.h0) == (10, 11)  # h = m - g + i
     assert s.brill_noether == 19 - 11 * 5
-    with pytest.raises(InvalidParameters):
-        SeriesSpec(g=19, m=24, h=9, i=5)  # violates h = m - g + i
-    with pytest.raises(InvalidParameters):
-        SeriesSpec(g=5, m=2, h=-1, i=2)
+    for args, code, detail in (
+        ((1, 24, 5), "genus-too-small", "g = 1 < 2"),
+        ((5, 2, 2), "riemann-roch-inconsistent", "h = -1, i = 2 must be >= 0"),
+        ((5, 8, -1), "riemann-roch-inconsistent", "h = 2, i = -1 must be >= 0"),
+    ):
+        with pytest.raises(InvalidParameters) as exc:
+            SeriesSpec(*args)
+        assert (exc.value.code, exc.value.detail) == (code, detail)
 
 
 def test_degree_bounds_special_case_and_gate():
