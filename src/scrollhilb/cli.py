@@ -148,10 +148,10 @@ def _verify_report(report: comp.ClassificationReport) -> None:
     """Recompute every component dimension via the parameter-count oracle."""
     mismatches = []
     for rec in report.components:
-        if rec.kind is comp.ComponentKind.GENERAL_MODULI:
+        if rec.t is None:
             check = oracle.dim_via_parameter_count(report.params, rec.m)
         else:
-            gp = gonalmod.GonalParams(rec.g, rec.t, rec.l, rec.d)
+            gp = gonalmod.GonalParams(rec.g, rec.t, rec.h1, rec.d)
             check = oracle.z_dim_via_parameter_count(gp)
         if check != rec.dim:
             mismatches.append(
@@ -301,7 +301,8 @@ def cmd_project(args) -> dict:
         "new_component_certified": None,
     }
     if is_divisor:
-        record["h_dim"], record["y_dim"] = proj.divisor_case(pp.d, pp.g)
+        dims = proj.divisor_case(pp.d, pp.g)
+        record["h_dim"], record["y_dim"] = dims.h_dim, dims.y_dim
     else:
         diff = proj.y_vs_target_difference(pp)
         record["y_vs_target_difference"] = diff

@@ -49,8 +49,8 @@ class ComponentRecord(NamedTuple):
     """One irreducible component of the Hilbert scheme.
 
     Every record carries the section degree ``m``; a gonal record also
-    carries the gonality ``t``.  ``kind`` decides the two derived values:
-    a general-moduli component is generically smooth, a gonal one leaves
+    carries the gonality ``t``, whose absence makes the ``kind`` general
+    moduli: such a component is generically smooth, a gonal one leaves
     that unasserted (None) and is Z(t, l) with l = h1.  ``notes`` holds what
     the classification states about this component alone: its boundary
     self-intersection, singular locus and singular overlap, the speciality-1
@@ -58,7 +58,6 @@ class ComponentRecord(NamedTuple):
     l >= 3 lies in no general-moduli component.
     """
 
-    kind: ComponentKind
     d: int
     g: int
     h1: int
@@ -69,14 +68,19 @@ class ComponentRecord(NamedTuple):
     notes: tuple[ReportNote, ...] = ()
 
     @property
+    def kind(self) -> ComponentKind:
+        """General-moduli when there is no gonality ``t``, gonal otherwise."""
+        return ComponentKind.GENERAL_MODULI if self.t is None else ComponentKind.GONAL
+
+    @property
     def generically_smooth(self) -> bool | None:
         """True for a general-moduli component, None (not asserted) for a gonal one."""
-        return True if self.kind is ComponentKind.GENERAL_MODULI else None
+        return True if self.t is None else None
 
     @property
     def l(self) -> int | None:
         """The speciality l = h1 of a gonal component Z(t, l); None otherwise."""
-        return self.h1 if self.kind is ComponentKind.GONAL else None
+        return None if self.t is None else self.h1
 
 
 # the notes whose texts depend on nothing, each built once
@@ -274,10 +278,8 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
                     f"has admissible degree below {m} lie on two components and "
                     "are singular points",
                 ))
-        records.append(ComponentRecord(
-            ComponentKind.GENERAL_MODULI, d, g, h1, m, component_dimension_formula(d, g, h1, m),
-            bundle_class, None, tuple(notes),
-        ))
+        records.append(ComponentRecord(d, g, h1, m, component_dimension_formula(d, g, h1, m),
+                                       bundle_class, None, tuple(notes)))
 
     if include_gonal and h1 >= 2:
         for gp in enumerate_z_components(d, g, h1):
@@ -288,10 +290,8 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
                     f"Z({gp.t},{gp.l}) is not contained in any general-moduli "
                     f"component (dimension excess {z_vs_h_difference(gp)})",
                 ))
-            records.append(ComponentRecord(
-                ComponentKind.GONAL, d, g, h1, gp.m, z_component_dimension(gp),
-                BundleClass.UNSTABLE_DECOMPOSABLE, gp.t, tuple(notes),
-            ))
+            records.append(ComponentRecord(d, g, h1, gp.m, z_component_dimension(gp),
+                                           _bundle_class(p, gp.m), gp.t, tuple(notes)))
 
     return ClassificationReport(p, tuple(records), include_gonal)
 

@@ -89,34 +89,39 @@ class _GonalFields(NamedTuple):
     d: int
 
 
+def _z_gate(g: int, t: int, l: int, d: int, gamma: int) -> InvalidParameters | None:
+    """The first gate of Z(t, l) that (g, t, l, d) fails, as an unraised
+    error, or None: gonality 2 < t < gamma (the general gonality of g >= 3),
+    speciality 2 <= l <= a - 1, very-ampleness, then degree d >= 6g - 5."""
+    if not 2 < t < gamma:
+        return InvalidParameters("gonality-out-of-range",
+                                 f"t = {t} not in (2, {gamma}) for g = {g}")
+    a = ballico_a(g, t)
+    if not 2 <= l <= a - 1:
+        return InvalidParameters("l-out-of-range", f"l = {l} not in [2, {a - 1}]")
+    if not kk_very_ample(g, t, l):
+        return InvalidParameters("not-very-ample", f"l*t*(t-1) = {l * t * (t - 1)} exceeds "
+                                 f"2g - (t-1) - t(t-1) = {kk_margin(g, t, 0)}")
+    if d < 6 * g - 5:
+        return InvalidParameters("degree-too-small", f"d = {d} < 6g - 5 = {6 * g - 5}")
+    return None
+
+
 class GonalParams(_Checked, _GonalFields):
     """Validated parameters (g, t, l, d) of a gonal-curve component Z(t, l).
 
     The Ballico parameter ``a`` and the section degree
     ``m = 2g - 2 - (l-1)t`` are derived properties, never supplied.
-    Validation order: genus, gonality, Ballico parameter, speciality,
-    very-ampleness, degree.
+    Validation order: genus, then the gates of ``_z_gate``: gonality,
+    Ballico parameter, speciality, very-ampleness, degree.
     """
 
     __slots__ = ()
 
     def __new__(cls, g: int, t: int, l: int, d: int):
-        gamma = gonality_general(g)  # rejects g < 3
-        if not 2 < t < gamma:
-            raise InvalidParameters(
-                "gonality-out-of-range", f"t = {t} not in (2, {gamma}) for g = {g}"
-            )
-        a = ballico_a(g, t)
-        if not 2 <= l <= a - 1:
-            raise InvalidParameters("l-out-of-range", f"l = {l} not in [2, {a - 1}]")
-        if not kk_very_ample(g, t, l):
-            raise InvalidParameters(
-                "not-very-ample",
-                f"l*t*(t-1) = {l * t * (t - 1)} exceeds "
-                f"2g - (t-1) - t(t-1) = {kk_margin(g, t, 0)}",
-            )
-        if d < 6 * g - 5:
-            raise InvalidParameters("degree-too-small", f"d = {d} < 6g - 5 = {6 * g - 5}")
+        failure = _z_gate(g, t, l, d, gonality_general(g))  # rejects g < 3
+        if failure is not None:
+            raise failure
         return tuple.__new__(cls, (g, t, l, d))
 
     @property
@@ -200,18 +205,16 @@ def enumerate_z_components(d: int, g: int, l: int) -> list[GonalParams]:
     ordered by increasing t.  Empty when no gonality passes the gates
     (in particular whenever d < 6g - 5).
 
-    The valid t form an initial run of [3, gonality): the degree gate
-    d >= 6g - 5 does not involve t; for l >= 2, l <= a - 1 with
-    a = ceil(g/(t-1)) + 1 is equivalent to (l-1)(t-1) < g, whose left side
-    grows with t; and the very-ampleness margin (``kk_margin``) decreases in
-    t.  So the walk stops at the first t that fails, and only survivors are
-    constructed (each still fully validated by ``GonalParams``).
+    The valid t form an initial run of [3, gonality): the degree gate and
+    l >= 2 do not involve t, while ``a`` and ``kk_margin`` only decrease as
+    t grows.  So the walk stops at the first t that fails ``_z_gate``.
     """
-    if g < 3 or l < 2 or d < 6 * g - 5:
+    if g < 3:
         return []
+    gamma = gonality_general(g)
     out = []
-    for t in range(3, gonality_general(g)):
-        if (l - 1) * (t - 1) >= g or kk_margin(g, t, l) < 0:
+    for t in range(3, gamma):
+        if _z_gate(g, t, l, d, gamma) is not None:
             break
         out.append(GonalParams(g, t, l, d))
     return out

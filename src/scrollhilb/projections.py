@@ -58,8 +58,14 @@ make_projection_params = ProjectionParams  # the constructor under its older nam
 
 
 class DivisorCaseDims(NamedTuple):
+    """The divisor case: the non-special component's dimension ``h_dim``."""
+
     h_dim: int
-    y_dim: int
+
+    @property
+    def y_dim(self) -> int:
+        """Dimension h_dim - 1 of the projected family, a divisor."""
+        return self.h_dim - 1
 
 
 def y_dim_lower_bound(pp: ProjectionParams) -> int:
@@ -119,11 +125,10 @@ def divisor_case(d: int, g: int) -> DivisorCaseDims:
 
     The projected canonical-section scrolls fill a *divisor* inside the
     non-special component, which has dimension 7(g-1) + (r+1)^2 with
-    r = d - 2g + 1; here the parameter-count bound is attained:
-    y_dim = h_dim - 1 exactly.
+    r = d - 2g + 1; the record holds that dimension, ``h_dim``, and derives
+    y_dim = h_dim - 1, which the parameter-count bound attains exactly.
     """
     _require_speciality(g, 1)
     _degree_threshold(g, 1, d)
     r1 = d - 2 * g + 2
-    h_dim = 7 * (g - 1) + r1 * r1
-    return DivisorCaseDims(h_dim=h_dim, y_dim=h_dim - 1)
+    return DivisorCaseDims(7 * (g - 1) + r1 * r1)

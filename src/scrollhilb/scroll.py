@@ -83,8 +83,12 @@ class SectionData(NamedTuple):
     m: int
     h: int
     gamma_sq: int
-    degN: int
     t_ext: int
+
+    @property
+    def degN(self) -> int:
+        """Degree d - m = m - gamma_sq of the complementary line bundle N."""
+        return self.m - self.gamma_sq
 
 
 class CohomologyTriple(NamedTuple):
@@ -194,7 +198,7 @@ def section_data(p: ScrollParams, m: int) -> SectionData:
     require_admissible(p, m)
     h, gamma_sq = _require_section(p, m)
     t_ext = h1_general_line_bundle(p.g, p.d - 2 * m)
-    return SectionData(m=m, h=h, gamma_sq=gamma_sq, degN=p.d - m, t_ext=t_ext)
+    return SectionData(m=m, h=h, gamma_sq=gamma_sq, t_ext=t_ext)
 
 
 def stability_class(p: ScrollParams, m: int) -> BundleClass:

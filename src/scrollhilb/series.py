@@ -64,11 +64,13 @@ def _require_speciality(g: int, h1: int) -> None:
 def riemann_roch_h0(g: int, deg: int, h1: int) -> int:
     """Sections of a line bundle of degree ``deg`` and speciality ``h1``.
 
-    Returns ``deg - g + 1 + h1``; a negative result means the claimed
-    speciality is inconsistent and is rejected.
+    Returns ``deg - g + 1 + h1``; a negative speciality, or a negative
+    result, means the claimed speciality is inconsistent and is rejected.
     """
     if g < 0:
         raise InvalidParameters("genus-too-small", f"g = {g} < 0")
+    if h1 < 0:
+        raise InvalidParameters("riemann-roch-inconsistent", f"h1 = {h1} < 0")
     h0 = deg - g + 1 + h1
     if h0 < 0:
         raise InvalidParameters(

@@ -1,14 +1,17 @@
-"""The public surface: which parameters it takes, and the README's example
-and table of records."""
+"""The public surface: which parameters it takes, and the README's example,
+table of records, table of error codes and CLI examples."""
 
 from __future__ import annotations
 
 import ast
 import inspect
+import io
 import re
 from pathlib import Path
 
 import scrollhilb
+from scrollhilb.cli import run
+from test_validation_sites import SRC, _raised_codes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,3 +61,29 @@ def test_readme_record_table_lists_each_record_s_fields():
     assert len(rows) == 10
     for name, fields in rows:
         assert fields == ", ".join(getattr(scrollhilb, name)._fields), name
+
+
+def test_readme_lists_every_error_code():
+    text = README.read_text()
+    table = re.findall(r"^\| (?:\d+ )?\| `([\w-]+)` \|", text, re.MULTILINE)
+    library = _raised_codes([path for path in SRC.glob("*.py") if path.name != "cli.py"])
+    assert len(table) == len(set(table)) == 21
+    assert set(table) == set(library)
+    # the CLI's own codes, in the exit-code bullet
+    bullet = text.split("* Exit codes:", 1)[1].split("\n* ", 1)[0]
+    cli_codes = set(_raised_codes([SRC / "cli.py"]))
+    assert cli_codes == {"malformed-range", "malformed-degree-policy",
+                         "missing-flags", "conflicting-flags"}
+    assert [code for code in sorted(cli_codes) if f"`{code}`" not in bullet] == []
+
+
+def test_readme_cli_examples_exit_0():
+    section = README.read_text().split("## CLI", 1)[1]
+    lines = section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    assert len(lines) == 7
+    for line in lines:
+        prog, *argv = line.split()
+        assert prog == "scrollhilb"
+        out, err = io.StringIO(), io.StringIO()
+        assert (run(argv, out, err), err.getvalue()) == (0, ""), line
+        assert out.getvalue(), line

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scrollhilb import cli, components
 from scrollhilb import InvalidParameters, ScrollParams, classify, min_degree_threshold
 from scrollhilb.cli import COMPONENT_COLUMNS, _emit_csv, _emit_json, run
-from scrollhilb.components import ComponentKind, ComponentRecord, ReportNote
+from scrollhilb.components import ComponentRecord, ReportNote
 from scrollhilb.scroll import BundleClass
 from scrollhilb.series import _has_general_moduli
 
@@ -576,9 +576,9 @@ _TEXT = st.text() | st.text(
     st.sampled_from('a "\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'))
 _INT = st.integers(-10**30, 10**30)
 _RECORDS = st.lists(
-    st.builds(
+    st.builds(  # t, None or an int, selects the kind
         ComponentRecord,
-        st.sampled_from(ComponentKind), _INT, _INT, _INT, _INT, _INT,
+        _INT, _INT, _INT, _INT, _INT,
         st.none() | st.sampled_from(BundleClass), st.none() | _INT,
         st.lists(st.builds(ReportNote, _TEXT, _TEXT), max_size=4).map(tuple),
     ),

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from scrollhilb import (
     CohomologyTriple,
+    DivisorCaseDims,
     GonalParams,
     InvalidParameters,
     ProjectionParams,
     ScrollParams,
+    SectionData,
     SeriesSpec,
     classify,
     divisor_case,
@@ -119,8 +121,10 @@ def test_a_record_is_the_tuple_of_its_fields():
     assert CohomologyTriple._fields == ("h0", "h1n")
     assert SeriesSpec._fields == ("g", "m", "i")
     assert ComponentRecord._fields == (
-        "kind", "d", "g", "h1", "m", "dim", "bundle_class", "t", "notes"
+        "d", "g", "h1", "m", "dim", "bundle_class", "t", "notes"
     )
+    assert SectionData._fields == ("m", "h", "gamma_sq", "t_ext")
+    assert DivisorCaseDims._fields == ("h_dim",)
     assert ClassificationReport._fields == ("params", "components", "include_gonal")
 
 
@@ -208,7 +212,7 @@ def test_derived_classification_values_are_not_fields():
     report = classify(ScrollParams(235, 40, 2), True)
     rec = report.components[-1]
     assert rec.kind is ComponentKind.GONAL and rec.l == 2
-    for record, name in ((rec, "l"), (rec, "generically_smooth"),
+    for record, name in ((rec, "kind"), (rec, "l"), (rec, "generically_smooth"),
                          (report, "reducible"), (report, "equidimensional"),
                          (report, "complete"), (report, "notes")):
         with pytest.raises(ValueError):
@@ -216,7 +220,9 @@ def test_derived_classification_values_are_not_fields():
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
     with pytest.raises(TypeError):
-        ComponentRecord(*rec[:8], l=3)
+        ComponentRecord(*rec, l=3)
+    with pytest.raises(TypeError):  # the nine-argument call of the record that stored kind
+        ComponentRecord(ComponentKind.GONAL, *rec)
     with pytest.raises(TypeError):
         ClassificationReport(*report, reducible=True)
     # complete and notes are not constructor arguments
@@ -238,6 +244,22 @@ def test_h2_chi_and_h_are_properties_not_fields():
         CohomologyTriple(5, 2, 0, 3)
     with pytest.raises(TypeError):
         SeriesSpec(19, 24, 10, 5)
+
+
+def test_degN_and_y_dim_are_properties_not_fields():
+    s, dims = section_data(ScrollParams(40, 9, 1), 16), divisor_case(28, 8)
+    assert s == (16, 8, -8, 0) and s.degN == 24 == 40 - 16
+    assert dims == (245,) and dims.y_dim == 244
+    for record, name in ((s, "degN"), (dims, "y_dim")):
+        with pytest.raises(ValueError):
+            record._replace(**{name: getattr(record, name)})
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    # the calls of the records that stored them
+    with pytest.raises(TypeError):
+        SectionData(16, 8, -8, 24, 0)
+    with pytest.raises(TypeError):
+        DivisorCaseDims(245, 244)
 
 
 def test_series_dimension_follows_riemann_roch_on_the_grid():

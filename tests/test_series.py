@@ -45,6 +45,21 @@ def test_riemann_roch_h0_rejects_negative():
     assert exc.value.code == "negative-h0"
 
 
+def test_riemann_roch_h0_rejects_a_negative_speciality():
+    # the data SeriesSpec rejects, with its code; after the genus, before h0
+    for args, code, detail in (
+        ((5, 10, -1), "riemann-roch-inconsistent", "h1 = -1 < 0"),
+        ((10, 2, -1), "riemann-roch-inconsistent", "h1 = -1 < 0"),
+        ((-1, 10, -1), "genus-too-small", "g = -1 < 0"),
+    ):
+        with pytest.raises(InvalidParameters) as exc:
+            riemann_roch_h0(*args)
+        assert (exc.value.code, exc.value.detail) == (code, detail)
+    with pytest.raises(InvalidParameters) as exc:
+        SeriesSpec(5, 10, -1)
+    assert exc.value.code == "riemann-roch-inconsistent"
+
+
 @pytest.mark.parametrize("g", range(2, 40))
 def test_brill_noether_rho_canonical_series(g):
     assert brill_noether_rho(g, g - 1, 2 * g - 2) == 0

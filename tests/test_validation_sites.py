@@ -27,10 +27,11 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _raised_codes() -> Counter:
-    """Literal first arguments of every ``InvalidParameters(...)`` call."""
+def _raised_codes(paths=None) -> Counter:
+    """Literal first arguments of every ``InvalidParameters(...)`` call in
+    ``paths`` (every module of the package by default)."""
     codes: Counter = Counter()
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) if paths is None else paths:
         for node in ast.walk(_tree(path)):
             if (
                 isinstance(node, ast.Call)
@@ -98,6 +99,15 @@ def test_general_moduli_condition_is_stated_once():
         visitor.visit(_tree(path))
         sites += visitor.sites
     assert sites == ["series._has_general_moduli"]
+
+
+def test_the_gates_of_a_gonal_component_are_stated_once():
+    # GonalParams raises what _z_gate returns, and the walk over t asks the
+    # same gate: beyond the genus floor it compares nothing of its own
+    (walk,) = [n for n in _tree(SRC / "gonal.py").body
+               if isinstance(n, ast.FunctionDef) and n.name == "enumerate_z_components"]
+    comparisons = [ast.unparse(n) for n in ast.walk(walk) if isinstance(n, ast.Compare)]
+    assert comparisons == ["g < 3", "_z_gate(g, t, l, d, gamma) is not None"]
 
 
 def test_scan_catches_nothing():
