@@ -281,7 +281,7 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
         records.append(ComponentRecord(d, g, h1, m, component_dimension_formula(d, g, h1, m),
                                        bundle_class, None, tuple(notes)))
 
-    if include_gonal and h1 >= 2:
+    if include_gonal:
         for gp in enumerate_z_components(d, g, h1):
             notes = []
             if gp.l >= 3:  # then the excess is positive (z_vs_h_difference)

@@ -51,6 +51,7 @@ class ProjectionParams(_Checked, _ProjectionFields):
 
     @property
     def r(self) -> int:
+        """Dimension of the target ambient space: d - 2g + 1 + k."""
         return self.d - 2 * self.g + 1 + self.k
 
 

@@ -47,12 +47,14 @@ class SeriesSpec(_Checked, _SeriesFields):
 
     @property
     def h0(self) -> int:
+        """Number of sections h + 1 = m - g + 1 + i (Riemann-Roch)."""
         return self.h + 1
 
     @property
     def brill_noether(self) -> int:
-        """g - h0*h1 for this series."""
-        return self.g - (self.h + 1) * self.i
+        """Bundle-form Brill-Noether number g - h0*i of this series
+        (:func:`rho_of_bundle`)."""
+        return rho_of_bundle(self.g, self.h0, self.i)
 
 
 def _require_speciality(g: int, h1: int) -> None:

@@ -15,7 +15,9 @@ import time
 
 from grids import degree_values, scroll_grid, speciality_values
 from scrollhilb import (
+    GonalParams,
     InvalidParameters,
+    ProjectionParams,
     ScrollParams,
     admissible_m_range,
     brill_noether_rho,
@@ -27,8 +29,6 @@ from scrollhilb import (
     general_moduli_threshold,
     h0_explicit,
     h_component_dimension_at_gonal_m,
-    make_gonal_params,
-    make_projection_params,
     normal_bundle_cohomology,
     rem19608_family,
     section_uniqueness_threshold,
@@ -102,7 +102,7 @@ def test_criterion_03_monotonicity_and_equidimensionality():
 
 def test_criterion_04_gonal_worked_example():
     failures = []
-    gp = make_gonal_params(19, 3, 5, 110)
+    gp = GonalParams(19, 3, 5, 110)
     dim_z = z_component_dimension(gp)
     dim_h = h_component_dimension_at_gonal_m(gp)
     diff = z_vs_h_difference(gp)
@@ -188,7 +188,7 @@ def test_criterion_09_divisor_case_tightness():
     failures = []
     for g in range(3, 41):
         for d in degree_values(g, 1):
-            pp = make_projection_params(d, g, 1, 0, 2 * g - 2)
+            pp = ProjectionParams(d, g, 1, 0, 2 * g - 2)
             dims = divisor_case(d, g)
             r1 = d - 2 * g + 2
             want = 7 * (g - 1) + r1 * r1 - 1

@@ -55,12 +55,28 @@ def test_readme_library_example_runs():
     assert len(checked) == 3  # 56, 56 and 6253
 
 
-def test_readme_record_table_lists_each_record_s_fields():
+def _readme_records() -> list[tuple[str, str]]:
+    """The (record, fields) rows of the README's table of records."""
     section = README.read_text().split("## Library", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", section, re.MULTILINE)
+    return re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", section, re.MULTILINE)
+
+
+def test_readme_record_table_lists_each_record_s_fields():
+    rows = _readme_records()
     assert len(rows) == 10
     for name, fields in rows:
         assert fields == ", ".join(getattr(scrollhilb, name)._fields), name
+
+
+def test_every_derived_value_of_a_record_says_what_it_is():
+    undocumented = [
+        f"{name}.{attr}"
+        for name, _ in _readme_records()
+        for attr, prop in inspect.getmembers(getattr(scrollhilb, name),
+                                             lambda v: isinstance(v, property))
+        if not (prop.__doc__ or "").strip()
+    ]
+    assert undocumented == []
 
 
 def test_readme_lists_every_error_code():

@@ -23,7 +23,6 @@ from scrollhilb import (
     component_dimension,
     component_dimension_formula,
     component_dimension_h1_1,
-    make_scroll,
     min_degree_threshold,
     rho_of_bundle,
     singular_by_smaller_section,
@@ -68,13 +67,13 @@ def test_admissible_m_range_against_enumeration():
 
 
 def test_component_dimension_examples():
-    assert component_dimension(make_scroll(10, 3, 1), 4) == 56
-    assert component_dimension(make_scroll(29, 8, 2), 9) == 312
+    assert component_dimension(ScrollParams(10, 3, 1), 4) == 56
+    assert component_dimension(ScrollParams(29, 8, 2), 9) == 312
     # below the existence gate (g < 4*h1) the gated call rejects but the
     # formula still evaluates; it is the comparison value for gonal components
     assert component_dimension_formula(110, 19, 5, 24) == 6232
     with pytest.raises(InvalidParameters) as exc:
-        component_dimension(make_scroll(110, 19, 5), 24)
+        component_dimension(ScrollParams(110, 19, 5), 24)
     assert exc.value.code == "BN1-violated"
 
 
@@ -118,7 +117,7 @@ def test_sublocus_codim():
 
 
 def test_classify_speciality_one():
-    report = classify(make_scroll(10, 3, 1))
+    report = classify(ScrollParams(10, 3, 1))
     assert len(report.components) == 1
     rec = report.components[0]
     assert rec.kind is ComponentKind.GENERAL_MODULI
@@ -130,7 +129,7 @@ def test_classify_speciality_one():
 
 
 def test_classify_speciality_one_subloci():
-    report = classify(make_scroll(40, 9, 1))
+    report = classify(ScrollParams(40, 9, 1))
     (rec,) = report.components
     assert rec.m == 16
     sub = [n for n in rec.notes if n.code == "sublocus-codim"]
@@ -145,7 +144,7 @@ def test_classify_speciality_two_with_gonal():
     # d = 29 sits below the splitting range 6g - 5 = 43, so no gonal
     # component passes the gates and the single general-moduli component
     # is the whole (complete) classification
-    report = classify(make_scroll(29, 8, 2), include_gonal=True)
+    report = classify(ScrollParams(29, 8, 2), include_gonal=True)
     assert [rec.m for rec in report.components] == [9]
     assert report.components[0].dim == 312
     assert report.equidimensional
@@ -154,7 +153,7 @@ def test_classify_speciality_two_with_gonal():
 
 
 def test_classify_speciality_two_gonal_equidimensional():
-    report = classify(make_scroll(55, 10, 2), include_gonal=True)
+    report = classify(ScrollParams(55, 10, 2), include_gonal=True)
     kinds = [rec.kind for rec in report.components]
     assert kinds == [
         ComponentKind.GENERAL_MODULI,
@@ -171,13 +170,13 @@ def test_classify_speciality_two_gonal_equidimensional():
 
 
 def test_classify_without_gonal_is_incomplete_for_h1_2():
-    report = classify(make_scroll(55, 10, 2), include_gonal=False)
+    report = classify(ScrollParams(55, 10, 2), include_gonal=False)
     assert not report.complete
     assert all(rec.kind is ComponentKind.GENERAL_MODULI for rec in report.components)
 
 
 def test_classify_high_speciality_never_claims_completeness():
-    report = classify(make_scroll(85, 15, 3), include_gonal=True)
+    report = classify(ScrollParams(85, 15, 3), include_gonal=True)
     assert not report.complete
     assert report.reducible
     assert not report.equidimensional  # dimensions drop as m grows
@@ -252,7 +251,7 @@ def test_classify_checks_the_canonical_range_end(monkeypatch):
 
 def test_classify_propagates_validation():
     with pytest.raises(InvalidParameters) as exc:
-        classify(make_scroll(28, 8, 2))  # below the 4g - 3 = 29 threshold
+        classify(ScrollParams(28, 8, 2))  # below the 4g - 3 = 29 threshold
     assert exc.value.code == "degree-below-threshold"
 
 

@@ -307,7 +307,7 @@ def library_transcript():
             thr = thr if isinstance(thr, int) else 4 * g
             degrees = sorted({2 * g + 1, thr - 1, thr, thr + 1, 6 * g - 5})
             for d in degrees:
-                yield rec(lib.make_scroll, d, g, h1)
+                yield rec(lib.ScrollParams, d, g, h1)
                 try:
                     p = lib.ScrollParams(d, g, h1)
                 except lib.InvalidParameters:

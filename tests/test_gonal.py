@@ -28,7 +28,6 @@ from scrollhilb import (
     h_component_dimension_at_gonal_m,
     kk_margin,
     kk_very_ample,
-    make_gonal_params,
     rem19608_family,
     special_residual_series,
     z_component_dimension,
@@ -146,8 +145,8 @@ def test_gonal_locus_is_proper():
 
 
 def test_gonal_params_validation_order():
-    assert make_gonal_params(19, 3, 5, 110).a == 11
-    assert make_gonal_params(19, 3, 5, 110).m == 24
+    assert GonalParams(19, 3, 5, 110).a == 11
+    assert GonalParams(19, 3, 5, 110).m == 24
     cases = [
         ((19, 2, 5, 110), "gonality-out-of-range"),
         ((19, 11, 5, 110), "gonality-out-of-range"),  # t = general gonality
@@ -157,7 +156,7 @@ def test_gonal_params_validation_order():
     ]
     for args, code in cases:
         with pytest.raises(InvalidParameters) as exc:
-            make_gonal_params(*args)
+            GonalParams(*args)
         assert exc.value.code == code, args
 
 
@@ -173,21 +172,21 @@ def test_gonal_params_derived_fields_are_not_parameters():
 
 
 def test_z_component_dimension_examples():
-    assert z_component_dimension(make_gonal_params(19, 3, 5, 110)) == 6253
-    assert z_component_dimension(make_gonal_params(19, 3, 2, 110)) == 5806
+    assert z_component_dimension(GonalParams(19, 3, 5, 110)) == 6253
+    assert z_component_dimension(GonalParams(19, 3, 2, 110)) == 5806
 
 
 def test_h_component_dimension_examples():
-    gp = make_gonal_params(19, 3, 5, 110)
+    gp = GonalParams(19, 3, 5, 110)
     assert h_component_dimension_at_gonal_m(gp) == 6232
-    gp = make_gonal_params(20, 3, 5, 115)
+    gp = GonalParams(20, 3, 5, 115)
     assert h_component_dimension_at_gonal_m(gp) == 6715
 
 
 def test_z_vs_h_difference_examples():
-    assert z_vs_h_difference(make_gonal_params(19, 3, 5, 110)) == 21
-    assert z_vs_h_difference(make_gonal_params(20, 3, 5, 115)) == 24
-    assert z_vs_h_difference(make_gonal_params(19, 3, 2, 110)) == 0
+    assert z_vs_h_difference(GonalParams(19, 3, 5, 110)) == 21
+    assert z_vs_h_difference(GonalParams(20, 3, 5, 115)) == 24
+    assert z_vs_h_difference(GonalParams(19, 3, 2, 110)) == 0
 
 
 def test_difference_is_exactly_the_dimension_gap():

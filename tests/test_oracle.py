@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 import scrollhilb
 from grids import scroll_grid
 from scrollhilb import (
+    GonalParams,
     ScrollParams,
     component_dimension,
     component_dimension_formula,
     dim_via_parameter_count,
     h0_explicit,
-    make_gonal_params,
-    make_scroll,
     min_degree_threshold,
     z_component_dimension,
     z_dim_via_parameter_count,
@@ -31,26 +30,26 @@ from scrollhilb.series import special_series_degree_bounds
 
 def test_bullet_sum_examples():
     # 6 + 0 + 3 + 0 + 48 - 1
-    assert dim_via_parameter_count(make_scroll(10, 3, 1), 4) == 56
+    assert dim_via_parameter_count(ScrollParams(10, 3, 1), 4) == 56
     # 21 + 0 + 8 + 0 + 288 - 5
-    assert dim_via_parameter_count(make_scroll(29, 8, 2), 9) == 312
+    assert dim_via_parameter_count(ScrollParams(29, 8, 2), 9) == 312
 
 
 def test_z_bullet_sum_examples():
     # 39 + 19 + 6240 - 45
-    assert z_dim_via_parameter_count(make_gonal_params(19, 3, 5, 110)) == 6253
+    assert z_dim_via_parameter_count(GonalParams(19, 3, 5, 110)) == 6253
     # 45 + 22 + 8280 - 53
-    assert z_dim_via_parameter_count(make_gonal_params(22, 3, 6, 127)) == 8294
-    assert z_component_dimension(make_gonal_params(22, 3, 6, 127)) == 8294
+    assert z_dim_via_parameter_count(GonalParams(22, 3, 6, 127)) == 8294
+    assert z_component_dimension(GonalParams(22, 3, 6, 127)) == 8294
 
 
 def test_oracle_covers_both_extension_regimes():
     # vanishing extension space (decomposable bundle)
-    p = make_scroll(29, 8, 2)
+    p = ScrollParams(29, 8, 2)
     assert dim_via_parameter_count(p, 9) == component_dimension(p, 9)
     # one-dimensional extension space: no projectivization parameters, but
     # the stabilizer also loses its torus
-    p = make_scroll(14, 4, 1)
+    p = ScrollParams(14, 4, 1)
     assert p.d - 2 * 6 == 4 - 2  # twist degree g - 2
     assert dim_via_parameter_count(p, 6) == component_dimension(p, 6)
 

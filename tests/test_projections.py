@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from grids import degree_values, speciality_values
 from scrollhilb import (
     InvalidParameters,
+    ProjectionParams,
     admissible_m_range,
     component_dimension_formula,
     divisor_case,
-    make_projection_params,
     min_degree_threshold,
     y_dim_lower_bound,
     y_vs_nonspecial_difference,
@@ -57,31 +57,31 @@ CASES = [
 @pytest.mark.parametrize("args,want", CASES)
 def test_y_dim_lower_bound_examples(args, want):
     assert y_param_count(*args) == want
-    assert y_dim_lower_bound(make_projection_params(*args)) == want
+    assert y_dim_lower_bound(ProjectionParams(*args)) == want
 
 
 def test_projection_params_validation():
     with pytest.raises(InvalidParameters) as exc:
-        make_projection_params(29, 8, 2, 2, 9)  # k must stay below l
+        ProjectionParams(29, 8, 2, 2, 9)  # k must stay below l
     assert exc.value.code == "k-out-of-range"
     with pytest.raises(InvalidParameters) as exc:
-        make_projection_params(29, 8, 2, 1, 10)  # source m out of range
+        ProjectionParams(29, 8, 2, 1, 10)  # source m out of range
     assert exc.value.code == "m-out-of-range"
     with pytest.raises(InvalidParameters) as exc:
-        make_projection_params(28, 8, 2, 1, 9)  # source below threshold
+        ProjectionParams(28, 8, 2, 1, 9)  # source below threshold
     assert exc.value.code == "degree-below-threshold"
-    pp = make_projection_params(29, 8, 2, 1, 9)
+    pp = ProjectionParams(29, 8, 2, 1, 9)
     assert pp.r == 15
-    assert make_projection_params(28, 8, 1, 0, 14).r == 13
+    assert ProjectionParams(28, 8, 1, 0, 14).r == 13
 
 
 def test_y_vs_target_difference_examples():
-    assert y_vs_target_difference(make_projection_params(29, 8, 2, 1, 9)) == 10
-    assert y_vs_target_difference(make_projection_params(29, 8, 2, 0, 9)) == 22
+    assert y_vs_target_difference(ProjectionParams(29, 8, 2, 1, 9)) == 10
+    assert y_vs_target_difference(ProjectionParams(29, 8, 2, 0, 9)) == 22
     # with l = k the margin factor (l - k) would vanish, but such projections
     # do not exist: the constructor rejects k >= l
     with pytest.raises(InvalidParameters):
-        make_projection_params(29, 8, 2, 2, 9)
+        ProjectionParams(29, 8, 2, 2, 9)
 
 
 def test_divisor_case_examples():
@@ -97,20 +97,20 @@ def test_divisor_case_examples():
 
 
 def test_divisor_case_excluded_from_comparisons():
-    pp = make_projection_params(28, 8, 1, 0, 14)
+    pp = ProjectionParams(28, 8, 1, 0, 14)
     with pytest.raises(InvalidParameters) as exc:
         y_vs_target_difference(pp)
     assert exc.value.code == "projection-case-out-of-scope"
     with pytest.raises(InvalidParameters):
         y_vs_nonspecial_difference(pp)
     with pytest.raises(InvalidParameters):
-        y_vs_nonspecial_difference(make_projection_params(29, 8, 2, 1, 9))
+        y_vs_nonspecial_difference(ProjectionParams(29, 8, 2, 1, 9))
 
 
 def test_divisor_case_tightness_on_grid():
     for g in range(3, 30):
         for d in degree_values(g, 1):
-            pp = make_projection_params(d, g, 1, 0, 2 * g - 2)
+            pp = ProjectionParams(d, g, 1, 0, 2 * g - 2)
             dims = divisor_case(d, g)
             assert y_dim_lower_bound(pp) == dims.y_dim == dims.h_dim - 1
             r1 = d - 2 * g + 2
@@ -123,7 +123,7 @@ def test_lower_bound_matches_parameter_count_on_grid():
             for m in admissible_m_range(g, l):
                 for d in (min_degree_threshold(g, l), 6 * g - 5):
                     for k in range(0, l):
-                        pp = make_projection_params(d, g, l, k, m)
+                        pp = ProjectionParams(d, g, l, k, m)
                         assert y_dim_lower_bound(pp) == y_param_count(d, g, l, k, m)
 
 
@@ -136,10 +136,10 @@ def test_new_component_margins_on_grid():
             for m in admissible_m_range(g, l):
                 for d in (min_degree_threshold(g, l), 6 * g - 5):
                     for k in range(1, l):
-                        pp = make_projection_params(d, g, l, k, m)
+                        pp = ProjectionParams(d, g, l, k, m)
                         assert y_vs_target_difference(pp) > 0
                     if l > 1:
-                        pp = make_projection_params(d, g, l, 0, m)
+                        pp = ProjectionParams(d, g, l, 0, m)
                         assert y_vs_nonspecial_difference(pp) >= 0
 
 
@@ -152,6 +152,6 @@ def test_target_margin_is_k_times_l_minus_k_below_the_formula_gap(data, g):
     m = data.draw(st.integers(lo, hi))
     d = min_degree_threshold(g, l) + data.draw(st.integers(0, 8 * g))
     k = data.draw(st.integers(0, l - 1))
-    pp = make_projection_params(d, g, l, k, m)
+    pp = ProjectionParams(d, g, l, k, m)
     gap = y_dim_lower_bound(pp) - component_dimension_formula(d, g, k, m)
     assert gap - y_vs_target_difference(pp) == k * (l - k)

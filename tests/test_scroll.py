@@ -15,7 +15,6 @@ from scrollhilb import (
     aut_dimension,
     general_moduli_threshold,
     h0_explicit,
-    make_scroll,
     min_degree_threshold,
     normal_bundle_cohomology,
     section_data,
@@ -26,8 +25,8 @@ from scrollhilb.series import _has_general_moduli
 
 
 def test_make_scroll_examples():
-    assert make_scroll(10, 3, 1).R == 6
-    assert make_scroll(29, 8, 2).R == 16
+    assert ScrollParams(10, 3, 1).R == 6
+    assert ScrollParams(29, 8, 2).R == 16
 
 
 def test_make_scroll_rejects_first_violation_in_order():
@@ -40,7 +39,7 @@ def test_make_scroll_rejects_first_violation_in_order():
     ]
     for args, code in cases:
         with pytest.raises(InvalidParameters) as exc:
-            make_scroll(*args)
+            ScrollParams(*args)
         assert exc.value.code == code, args
 
 
@@ -89,9 +88,9 @@ def test_threshold_of_a_cell_with_components_exceeds_three_g(data, g):
 
 
 def test_section_data_examples():
-    s = section_data(make_scroll(10, 3, 1), 4)
+    s = section_data(ScrollParams(10, 3, 1), 4)
     assert (s.h, s.gamma_sq, s.degN, s.t_ext) == (2, -2, 6, 0)
-    s = section_data(make_scroll(29, 8, 2), 9)
+    s = section_data(ScrollParams(29, 8, 2), 9)
     assert (s.h, s.gamma_sq, s.degN, s.t_ext) == (3, -11, 20, 0)
 
 
@@ -100,19 +99,19 @@ def test_section_data_boundary_self_intersection():
     # d = 28 meets the threshold exactly, so the range checks pass and the
     # zero self-intersection is what gets rejected.
     with pytest.raises(InvalidParameters) as exc:
-        section_data(make_scroll(28, 8, 1), 14)
+        section_data(ScrollParams(28, 8, 1), 14)
     assert exc.value.code == "nonnegative-self-intersection"
 
 
 def test_section_data_range_errors():
     with pytest.raises(InvalidParameters) as exc:
-        section_data(make_scroll(10, 3, 1), 5)
+        section_data(ScrollParams(10, 3, 1), 5)
     assert exc.value.code == "m-out-of-range"
     with pytest.raises(InvalidParameters) as exc:
-        section_data(make_scroll(9, 3, 1), 4)  # 9 < threshold 10
+        section_data(ScrollParams(9, 3, 1), 4)  # 9 < threshold 10
     assert exc.value.code == "degree-below-threshold"
     with pytest.raises(InvalidParameters) as exc:
-        section_data(make_scroll(50, 6, 2), 7)  # g < 4*h1
+        section_data(ScrollParams(50, 6, 2), 7)  # g < 4*h1
     assert exc.value.code == "BN1-violated"
 
 
@@ -130,19 +129,19 @@ def test_section_invariants_on_grid():
 
 
 def test_stability_examples():
-    assert stability_class(make_scroll(110, 19, 5), 24) is BundleClass.UNSTABLE_DECOMPOSABLE
-    assert stability_class(make_scroll(29, 8, 2), 9) is BundleClass.UNSTABLE_DECOMPOSABLE
-    assert stability_class(make_scroll(10, 3, 1), 4) is BundleClass.UNSTABLE_DECOMPOSABLE
+    assert stability_class(ScrollParams(110, 19, 5), 24) is BundleClass.UNSTABLE_DECOMPOSABLE
+    assert stability_class(ScrollParams(29, 8, 2), 9) is BundleClass.UNSTABLE_DECOMPOSABLE
+    assert stability_class(ScrollParams(10, 3, 1), 4) is BundleClass.UNSTABLE_DECOMPOSABLE
     # small degree with nonvanishing extension space: indecomposable
-    assert stability_class(make_scroll(14, 4, 1), 6) is BundleClass.UNSTABLE
+    assert stability_class(ScrollParams(14, 4, 1), 6) is BundleClass.UNSTABLE
 
 
 def test_stability_rejects_non_sections():
     with pytest.raises(InvalidParameters) as exc:
-        stability_class(make_scroll(110, 19, 5), 10)  # h = m - g + h1 < 2
+        stability_class(ScrollParams(110, 19, 5), 10)  # h = m - g + h1 < 2
     assert exc.value.code == "not-a-section"
     with pytest.raises(InvalidParameters) as exc:
-        stability_class(make_scroll(110, 19, 5), 60)  # 2m - d >= 0
+        stability_class(ScrollParams(110, 19, 5), 60)  # 2m - d >= 0
     assert exc.value.code == "nonnegative-self-intersection"
 
 
@@ -153,18 +152,18 @@ def test_stability_splits_at_large_degree_on_grid():
 
 
 def test_normal_bundle_cohomology_examples():
-    c = normal_bundle_cohomology(make_scroll(10, 3, 1), 4)
+    c = normal_bundle_cohomology(ScrollParams(10, 3, 1), 4)
     assert (c.h0, c.h1n, c.h2, c.chi) == (56, 0, 0, 56)
-    c = normal_bundle_cohomology(make_scroll(29, 8, 2), 9)
+    c = normal_bundle_cohomology(ScrollParams(29, 8, 2), 9)
     assert (c.h0, c.h1n, c.h2, c.chi) == (312, 8, 0, 304)
-    c = normal_bundle_cohomology(make_scroll(10, 3, 1), 4, t_basepoints=1)
+    c = normal_bundle_cohomology(ScrollParams(10, 3, 1), 4, t_basepoints=1)
     assert (c.h0, c.h1n, c.h2, c.chi) == (57, 1, 0, 56)
 
 
 def test_normal_bundle_speciality_one_needs_canonical_section():
     # non-canonical section degrees make the h1 formula negative at t = 0,
     # and exactly the residual base-point count restores it to zero
-    p = make_scroll(40, 9, 1)
+    p = ScrollParams(40, 9, 1)
     for m in range(11, 16):
         with pytest.raises(InvalidParameters) as exc:
             normal_bundle_cohomology(p, m)
@@ -176,12 +175,12 @@ def test_normal_bundle_speciality_one_needs_canonical_section():
 
 def test_normal_bundle_rejects_negative_basepoints():
     with pytest.raises(InvalidParameters):
-        normal_bundle_cohomology(make_scroll(10, 3, 1), 4, t_basepoints=-1)
+        normal_bundle_cohomology(ScrollParams(10, 3, 1), 4, t_basepoints=-1)
 
 
 def test_h0_explicit_examples():
-    assert h0_explicit(make_scroll(10, 3, 1), 4) == 56
-    assert h0_explicit(make_scroll(29, 8, 2), 9) == 312
+    assert h0_explicit(ScrollParams(10, 3, 1), 4) == 56
+    assert h0_explicit(ScrollParams(29, 8, 2), 9) == 312
 
 
 def test_h0_explicit_matches_cohomology_on_grid():
@@ -200,15 +199,15 @@ def test_canonical_section_is_unobstructed():
     # speciality one at the canonical degree: h1 of the normal bundle is 0
     for g in range(3, 15):
         for d in (min_degree_threshold(g, 1), 6 * g - 5, 6 * g):
-            c = normal_bundle_cohomology(make_scroll(d, g, 1), 2 * g - 2)
+            c = normal_bundle_cohomology(ScrollParams(d, g, 1), 2 * g - 2)
             assert c.h1n == 0
 
 
 def test_aut_dimension_examples():
-    assert aut_dimension(make_scroll(110, 19, 5), 24) == 45
-    assert aut_dimension(make_scroll(29, 8, 2), 9) == 5
-    assert aut_dimension(make_scroll(10, 3, 1), 4) == 1
+    assert aut_dimension(ScrollParams(110, 19, 5), 24) == 45
+    assert aut_dimension(ScrollParams(29, 8, 2), 9) == 5
+    assert aut_dimension(ScrollParams(10, 3, 1), 4) == 1
     # m = 14 = d/2 on (28, 8, 1): the section check of stability_class fires
     with pytest.raises(InvalidParameters) as exc:
-        aut_dimension(make_scroll(28, 8, 1), 14)
+        aut_dimension(ScrollParams(28, 8, 1), 14)
     assert exc.value.code == "nonnegative-self-intersection"

@@ -1,8 +1,11 @@
 """Each hypothesis is checked in one place.
 
-The codes below were once raised from several functions at once; each now
-has one helper, and a second ``InvalidParameters(code, ...)`` for one of them
-would be a new copy of its check.
+``RAISE_SITES`` names every function that builds an ``InvalidParameters``,
+by code.  A code with one site is checked once; the codes with two or more
+sites are the rules the README and the ``errors`` docstring list, each with
+its reason.  The four guarded codes were once raised from several functions
+at once; each now has one helper, and a second site for one of them would
+be a new copy of its check.
 """
 
 from __future__ import annotations
@@ -15,40 +18,115 @@ import scrollhilb
 
 SRC = Path(scrollhilb.__file__).resolve().parent
 
-SINGLE_SITE_CODES = (
+GUARDED_CODES = (
     "degree-below-threshold",
     "speciality-out-of-range",
     "not-a-section",
     "nonnegative-self-intersection",
 )
 
+# code -> the sorted ``module.qualname`` of each InvalidParameters(code, ...)
+RAISE_SITES = {
+    "BN1-violated": ("series._section_degree_range",),
+    "conflicting-flags": ("cli.cmd_gonal",),
+    "degree-below-threshold": ("scroll._degree_threshold",),
+    "degree-too-small": ("gonal._z_gate", "scroll._require_scroll"),
+    "genus-too-small": (
+        "scroll._require_scroll",
+        "scroll.general_moduli_threshold",
+        "series.SeriesSpec.__new__",
+        "series.clifford_index_general",
+        "series.gonality_general",
+        "series.riemann_roch_h0",
+    ),
+    "gonality-out-of-range": ("gonal._require_pencil_degree", "gonal._z_gate"),
+    "k-out-of-range": ("projections.ProjectionParams.__new__",),
+    "l-out-of-range": ("gonal._z_gate", "gonal.rem19608_family"),
+    "m-not-below-canonical": ("components.sublocus_codim_h1_1",),
+    "m-out-of-range": ("components.sublocus_codim_h1_1", "series._section_degree_range"),
+    "malformed-degree-policy": ("cli._parse_degree_policy",),
+    "malformed-range": ("cli._parse_range", "cli._parse_range"),
+    "missing-flags": ("cli.cmd_gonal",),
+    "negative-basepoints": ("scroll.normal_bundle_cohomology",),
+    "negative-h0": ("series.riemann_roch_h0",),
+    "negative-h1": ("scroll.normal_bundle_cohomology",),
+    "no-valid-a": ("gonal.ballico_a",),
+    "nonnegative-self-intersection": ("scroll._require_section",),
+    "not-a-section": ("scroll._require_section",),
+    "not-proper-gonal-locus": ("gonal.gonal_locus_dimension",),
+    "not-very-ample": ("gonal._z_gate",),
+    "projection-case-out-of-scope": (
+        "projections.y_vs_nonspecial_difference",
+        "projections.y_vs_target_difference",
+    ),
+    "r-out-of-range": ("gonal.special_residual_series",),
+    "riemann-roch-inconsistent": ("series.SeriesSpec.__new__", "series.riemann_roch_h0"),
+    "speciality-out-of-range": ("series._require_speciality",),
+}
+
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+class _Scoped(ast.NodeVisitor):
+    """Collects ``sites`` in a module, each tagged with ``where``, the dotted
+    ``module.qualname`` of the function or class it sits in."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.sites: list = []
+
+    @property
+    def where(self) -> str:
+        return ".".join(self.scope)
+
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.ClassDef) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    @classmethod
+    def collect(cls, paths=None) -> list:
+        """The sites of every module in ``paths`` (every module of the
+        package by default), in path order."""
+        sites = []
+        for path in sorted(SRC.glob("*.py")) if paths is None else paths:
+            visitor = cls(path.stem)
+            visitor.visit(_tree(path))
+            sites += visitor.sites
+        return sites
+
+
+class _RaiseSites(_Scoped):
+    """``(code, where)`` of each ``InvalidParameters(code, ...)`` call with a
+    literal code."""
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "InvalidParameters"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            self.sites.append((node.args[0].value, self.where))
+        self.generic_visit(node)
+
+
 def _raised_codes(paths=None) -> Counter:
     """Literal first arguments of every ``InvalidParameters(...)`` call in
     ``paths`` (every module of the package by default)."""
-    codes: Counter = Counter()
-    for path in sorted(SRC.glob("*.py")) if paths is None else paths:
-        for node in ast.walk(_tree(path)):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "InvalidParameters"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-            ):
-                codes[node.args[0].value] += 1
-    return codes
+    return Counter(code for code, _ in _RaiseSites.collect(paths))
 
 
 def test_each_guarded_code_has_one_raise_site():
-    codes = _raised_codes()
-    assert {code: codes[code] for code in SINGLE_SITE_CODES} == dict.fromkeys(
-        SINGLE_SITE_CODES, 1
-    )
+    by_code: dict[str, list[str]] = {}
+    for code, site in _RaiseSites.collect():
+        by_code.setdefault(code, []).append(site)
+    assert {code: tuple(sorted(sites)) for code, sites in by_code.items()} == RAISE_SITES
+    assert [code for code in GUARDED_CODES if len(RAISE_SITES[code]) != 1] == []
 
 
 def test_components_catches_no_invalid_parameters():
@@ -74,31 +152,23 @@ def _is_four_times_a_name(node: ast.AST) -> bool:
     return False
 
 
-class _FourTimesComparisons(ast.NodeVisitor):
-    """Dotted names of the functions holding a comparison against ``4 * x``."""
-
-    def __init__(self, module: str):
-        self.scope = [module]
-        self.sites: list[str] = []
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
+class _FourTimesComparisons(_Scoped):
+    """Where each comparison against ``4 * x`` sits."""
 
     def visit_Compare(self, node: ast.Compare) -> None:
         if any(_is_four_times_a_name(x) for x in (node.left, *node.comparators)):
-            self.sites.append(".".join(self.scope))
+            self.sites.append(self.where)
         self.generic_visit(node)
 
 
 def test_general_moduli_condition_is_stated_once():
-    sites = []
-    for path in sorted(SRC.glob("*.py")):
-        visitor = _FourTimesComparisons(path.stem)
-        visitor.visit(_tree(path))
-        sites += visitor.sites
-    assert sites == ["series._has_general_moduli"]
+    assert _FourTimesComparisons.collect() == ["series._has_general_moduli"]
+
+
+def _calls(node: ast.AST, callee: str) -> bool:
+    """Whether ``node`` holds a call of the bare name ``callee``."""
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == callee
+               for n in ast.walk(node))
 
 
 def test_the_gates_of_a_gonal_component_are_stated_once():
@@ -108,6 +178,14 @@ def test_the_gates_of_a_gonal_component_are_stated_once():
                if isinstance(n, ast.FunctionDef) and n.name == "enumerate_z_components"]
     comparisons = [ast.unparse(n) for n in ast.walk(walk) if isinstance(n, ast.Compare)]
     assert comparisons == ["g < 3", "_z_gate(g, t, l, d, gamma) is not None"]
+    # nor does classify test the speciality before it asks the walk: _z_gate
+    # rejects l < 2
+    (classify,) = [n for n in _tree(SRC / "components.py").body
+                   if isinstance(n, ast.FunctionDef) and n.name == "classify"]
+    tests = [ast.unparse(n.test) for n in ast.walk(classify)
+             if isinstance(n, (ast.If, ast.IfExp, ast.While))
+             and _calls(n, "enumerate_z_components")]
+    assert tests == ["include_gonal"]
 
 
 def test_scan_catches_nothing():
