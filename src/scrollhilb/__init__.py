@@ -25,7 +25,6 @@ from .gonal import (
     gonal_locus_dimension,
     h_component_dimension_at_gonal_m,
     kk_margin,
-    kk_very_ample,
     make_gonal_params,
     rem19608_family,
     special_residual_series,

@@ -165,9 +165,12 @@ def _verify_report(report: comp.ClassificationReport) -> None:
 def _int(token: str) -> int:
     """The value of an optional '-' and at most 2,000 ASCII digits; any other
     token (a '+', a space, an underscore, a non-ASCII digit, more digits)
-    raises int()'s error.  Every integer the CLI prints is at most quadratic
-    in its inputs, so the bound keeps each printed one near 4,001 digits,
-    below CPython's default limit of 4,300 for int-to-str conversion."""
+    raises int()'s error.  The grammar bounds input, work and output: every
+    integer the CLI prints is at most quadratic in its inputs, so each
+    printed one stays near 4,001 digits, below CPython's default limit of
+    4,300 for int-to-str conversion.  ``main`` lifts that limit, so a lower
+    one (``-X int_max_str_digits``, ``PYTHONINTMAXSTRDIGITS``) changes no
+    output."""
     if not re.fullmatch("-?[0-9]{1,2000}", token):
         raise ValueError(f"invalid literal for int() with base 10: {token!r}")
     return int(token)
@@ -401,6 +404,7 @@ def run(argv: list[str], stdout, stderr) -> int:
 
 
 def main() -> None:
+    sys.set_int_max_str_digits(0)  # _int's grammar bounds every int instead
     try:
         code = run(sys.argv[1:], sys.stdout, sys.stderr)
         sys.stdout.flush()

@@ -27,7 +27,7 @@ from .scroll import (
     require_admissible,
 )
 from .series import _first_general_moduli_genus, _has_general_moduli, _require_speciality
-from .series import _section_degree_range, special_series_degree_bounds
+from .series import _section_degree_range
 
 
 class ComponentKind(enum.Enum):
@@ -64,8 +64,8 @@ class ComponentRecord(NamedTuple):
     m: int
     dim: int
     bundle_class: BundleClass | None
-    t: int | None = None
-    notes: tuple[ReportNote, ...] = ()
+    t: int | None
+    notes: tuple[ReportNote, ...]
 
     @property
     def kind(self) -> ComponentKind:
@@ -148,12 +148,15 @@ class ClassificationReport(NamedTuple):
         return len({r.dim for r in self.components}) <= 1
 
 
-def admissible_m_range(g: int, h1: int) -> list[int]:
-    """Admissible special-section degrees: [4] for (g, h1) = (3, 1), else
-    all m with g + 3 - h1 <= m <= mbar.  Requires g >= 4*h1 (or the (3, 1)
-    case); otherwise only special-moduli components exist."""
-    lo, hi = special_series_degree_bounds(g, h1)
-    return list(range(lo, hi + 1))
+def admissible_m_range(g: int, h1: int) -> range:
+    """Admissible special-section degrees on a smooth scroll whose base curve
+    has general moduli: range(4, 5) for (g, h1) = (3, 1), else all m with
+    g + 3 - h1 <= m <= mbar (of :func:`max_special_degree`).  Requires
+    0 < h1 < g, then g >= 4*h1 (so the section's series has dimension >= 3)
+    or the (3, 1) case; otherwise only special-moduli components exist."""
+    _require_speciality(g, h1)
+    lo, hi = _section_degree_range(g, h1)
+    return range(lo, hi + 1)
 
 
 def component_dimension_formula(d: int, g: int, h1: int, m: int) -> int:

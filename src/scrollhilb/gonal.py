@@ -43,18 +43,13 @@ def ballico_a(g: int, t: int) -> int:
 
 
 def kk_margin(g: int, t: int, l: int) -> int:
-    """Slack 2g - (t-1) - t(t-1) - l*t(t-1) of the very-ampleness gate
-    l <= 2g/(t(t-1)) - 1/t - 1, cross-multiplied by t(t-1).
+    """Slack 2g - (t-1) - t(t-1) - l*t(t-1) of the very-ampleness gate of the
+    bundle canonical minus (l-1) pencils, l <= 2g/(t(t-1)) - 1/t - 1,
+    cross-multiplied by t(t-1).
 
     The gate holds when the margin is >= 0, with equality when it is 0.  For
     l >= 0 the margin strictly decreases in t >= 1."""
     return 2 * g - (t - 1) - t * (t - 1) - l * t * (t - 1)
-
-
-def kk_very_ample(g: int, t: int, l: int) -> bool:
-    """Very-ampleness gate for the bundle canonical minus (l-1) pencils:
-    l <= 2g/(t(t-1)) - 1/t - 1, checked by cross-multiplication."""
-    return kk_margin(g, t, l) >= 0
 
 
 def gonal_locus_dimension(g: int, t: int) -> int:
@@ -99,7 +94,7 @@ def _z_gate(g: int, t: int, l: int, d: int, gamma: int) -> InvalidParameters | N
     a = ballico_a(g, t)
     if not 2 <= l <= a - 1:
         return InvalidParameters("l-out-of-range", f"l = {l} not in [2, {a - 1}]")
-    if not kk_very_ample(g, t, l):
+    if kk_margin(g, t, l) < 0:
         return InvalidParameters("not-very-ample", f"l*t*(t-1) = {l * t * (t - 1)} exceeds "
                                  f"2g - (t-1) - t(t-1) = {kk_margin(g, t, 0)}")
     if d < 6 * g - 5:

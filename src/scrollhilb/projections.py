@@ -34,7 +34,7 @@ class ProjectionParams(_Checked, _ProjectionFields):
 
     ``r = d - 2g + 1 + k`` is the target ambient dimension.  The source
     must pass ``require_admissible`` at speciality l, which gives r >= 3.
-    At l = 1 it may be any m of ``special_series_degree_bounds(g, 1)``,
+    At l = 1 it may be any m of ``admissible_m_range(g, 1)``,
     though only the last, 2g - 2, indexes a component (the divisor case).
     """
 

@@ -129,18 +129,6 @@ def max_special_degree(g: int, h1: int) -> tuple[int, int]:
     return hbar, hbar + g - h1
 
 
-def special_series_degree_bounds(g: int, h1: int) -> tuple[int, int]:
-    """Degree range of special sections realizable on a smooth scroll whose
-    base curve has general moduli.
-
-    Returns the inclusive range ``(g + 3 - h1, mbar)``, except for the single
-    admissible degree 4 when ``(g, h1) = (3, 1)``.  Requires ``g >= 4*h1``
-    (so the section's series has dimension >= 3) or the ``(3, 1)`` case.
-    """
-    _require_speciality(g, h1)
-    return _section_degree_range(g, h1)
-
-
 def _has_general_moduli(g: int, h1: int) -> bool:
     """Whether components with general moduli exist at speciality h1 >= 1:
     g >= 4*h1 (BN1), or (g, h1) = (3, 1); otherwise the moduli are special."""
@@ -154,8 +142,9 @@ def _first_general_moduli_genus(h1: int) -> int:
 
 
 def _section_degree_range(g: int, h1: int, m: int | None = None) -> tuple[int, int]:
-    """:func:`special_series_degree_bounds` of a pair with 0 < h1 < g;
-    rejects the section degree ``m``, when given, outside the range."""
+    """The inclusive bounds of ``components.admissible_m_range`` of a pair
+    with 0 < h1 < g; rejects the section degree ``m``, when given, outside
+    them."""
     if not _has_general_moduli(g, h1):
         raise InvalidParameters("BN1-violated", f"g < 4*h1 ({g} < {4 * h1})")
     if g == 3 and h1 == 1:

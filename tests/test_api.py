@@ -4,6 +4,7 @@ table of records, table of error codes and CLI examples."""
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import io
 import re
@@ -79,9 +80,16 @@ def test_every_derived_value_of_a_record_says_what_it_is():
     assert undocumented == []
 
 
+def _readme_error_table() -> list[tuple[str, str, str]]:
+    """The (code, rejected when, raised by) rows of the README's table of
+    error codes."""
+    return re.findall(r"^\| (?:\d+ )?\| `([\w-]+)` \| (.*) \| (.*) \|$",
+                      README.read_text(), re.MULTILINE)
+
+
 def test_readme_lists_every_error_code():
     text = README.read_text()
-    table = re.findall(r"^\| (?:\d+ )?\| `([\w-]+)` \|", text, re.MULTILINE)
+    table = [code for code, _, _ in _readme_error_table()]
     library = _raised_codes([path for path in SRC.glob("*.py") if path.name != "cli.py"])
     assert len(table) == len(set(table)) == 21
     assert set(table) == set(library)
@@ -91,6 +99,19 @@ def test_readme_lists_every_error_code():
     assert cli_codes == {"malformed-range", "malformed-degree-policy",
                          "missing-flags", "conflicting-flags"}
     assert [code for code in sorted(cli_codes) if f"`{code}`" not in bullet] == []
+
+
+def test_every_name_the_readme_error_table_cites_resolves():
+    # a bare name is a package export, a dotted one an attribute of its module
+    unresolved = []
+    for code, *cells in _readme_error_table():
+        for cited in re.findall(r"`([^`]*)`", " ".join(cells)):
+            name = re.fullmatch(r"([\w.]+)(?:\(.*\))?", cited).group(1)
+            module, _, attr = name.rpartition(".")
+            owner = importlib.import_module(f"scrollhilb.{module}") if module else scrollhilb
+            if not hasattr(owner, attr):
+                unresolved.append((code, cited))
+    assert unresolved == []
 
 
 def test_readme_cli_examples_exit_0():

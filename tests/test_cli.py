@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -675,6 +676,22 @@ def test_a_reader_closing_stdout_early_exits_141_without_traceback(fmt):
         code = proc.wait(timeout=60)
     assert len(head) == 100
     assert (code, err) == (141, b"")
+
+
+def test_a_lower_int_to_str_limit_changes_no_output():
+    # l = 10**400 - 1 makes the family print integers of more than 640 digits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for fmt in ("json", "csv"):
+        argv = ["-m", "scrollhilb", "gonal", "--family-19608", "--l", "9" * 400,
+                "--format", fmt]
+        default, limited = (
+            subprocess.run([sys.executable, *flags, *argv], env={"PYTHONPATH": src},
+                           capture_output=True)
+            for flags in ([], ["-X", "int_max_str_digits=640"])
+        )
+        assert default.returncode == 0 and re.search(rb"[0-9]{641}", default.stdout), fmt
+        assert (limited.returncode, limited.stdout, limited.stderr) == (
+            0, default.stdout, default.stderr), fmt
 
 
 def test_cold_start_loads_neither_dataclasses_nor_inspect():

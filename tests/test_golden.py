@@ -288,12 +288,12 @@ def library_transcript():
             yield rec(lib.divisor_case, d, g)
         for h1 in range(-1, g + 2):
             yield rec(series.max_special_degree, g, h1)
-            yield rec(series.special_series_degree_bounds, g, h1)
             yield rec(scroll.min_degree_threshold, g, h1)
             yield rec(scroll.general_moduli_threshold, g, h1)
             yield rec(components.admissible_m_range, g, h1)
-            bounds = _call(series.special_series_degree_bounds, g, h1)
-            lo, hi = bounds if isinstance(bounds[0], int) else (g + 3 - h1, g + 3)
+            mrange = _call(components.admissible_m_range, g, h1)
+            lo, hi = ((mrange[0], mrange[-1]) if isinstance(mrange, range)
+                      else (g + 3 - h1, g + 3))
             ms = sorted({3, lo - 1, lo, hi, hi + 1, 2 * g - 3, 2 * g - 2})
             for m in ms:
                 yield rec(lib.SeriesSpec, g, m, h1)
@@ -330,8 +330,8 @@ def library_transcript():
                         yield rec(lib.ProjectionParams, d, g, h1, k, m)
 
 
-LIBRARY_LINES = 149943
-LIBRARY_DIGEST = "fcd88f48b802495bd994918f584ddec48b6b189e356ed8afabfa6eeebf9f1399"
+LIBRARY_LINES = 149383
+LIBRARY_DIGEST = "08f5d25058f5daa060952a1ee8223496984bc513143ed086e3a7dcd2219dda3e"
 
 
 def test_library_transcript_golden():

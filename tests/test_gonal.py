@@ -27,7 +27,6 @@ from scrollhilb import (
     gonality_general,
     h_component_dimension_at_gonal_m,
     kk_margin,
-    kk_very_ample,
     rem19608_family,
     special_residual_series,
     z_component_dimension,
@@ -112,15 +111,13 @@ def test_special_residual_series_range():
         special_residual_series(8, 3, 0)
 
 
-def test_kk_very_ample_examples():
-    assert kk_very_ample(19, 3, 5) is True
-    # equality case: both sides of the cross-multiplied gate agree
-    assert 5 * 3 * 2 == 2 * 19 - 2 - 3 * 2
-    assert kk_very_ample(19, 3, 6) is False
-    assert kk_very_ample(8, 3, 1) is True
+def test_kk_margin_sign_examples():
+    # the gate holds exactly when the margin is >= 0; (19, 3, 5) is the
+    # equality case, where both sides of the cross-multiplied gate agree
     assert kk_margin(19, 3, 5) == 0
-    assert kk_margin(19, 3, 6) == -6
-    assert kk_margin(8, 3, 1) == 2 * 8 - 2 - 6 - 6
+    assert 5 * 3 * 2 == 2 * 19 - 2 - 3 * 2
+    assert kk_margin(19, 3, 6) == -6 < 0
+    assert kk_margin(8, 3, 1) == 2 * 8 - 2 - 6 - 6 >= 0
 
 
 def test_kk_margin_decreases_in_t():

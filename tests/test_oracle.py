@@ -17,6 +17,7 @@ from grids import scroll_grid
 from scrollhilb import (
     GonalParams,
     ScrollParams,
+    admissible_m_range,
     component_dimension,
     component_dimension_formula,
     dim_via_parameter_count,
@@ -25,7 +26,6 @@ from scrollhilb import (
     z_component_dimension,
     z_dim_via_parameter_count,
 )
-from scrollhilb.series import special_series_degree_bounds
 
 
 def test_bullet_sum_examples():
@@ -63,8 +63,8 @@ def test_oracle_agreement_on_grid():
 @given(data=st.data(), g=st.integers(3, 10**6))
 def test_three_dimension_forms_agree_at_large_genus(data, g):
     h1 = data.draw(st.integers(1, max(1, g // 4)))  # general moduli: g >= 4*h1, or (3, 1)
-    lo, hi = special_series_degree_bounds(g, h1)
-    m = data.draw(st.integers(lo, hi))
+    ms = admissible_m_range(g, h1)
+    m = data.draw(st.integers(ms[0], ms[-1]))
     d = min_degree_threshold(g, h1) + data.draw(st.integers(0, 8 * g))
     p = ScrollParams(d, g, h1)
     dim = component_dimension_formula(d, g, h1, m)

@@ -19,7 +19,6 @@ from scrollhilb import (
     y_vs_nonspecial_difference,
     y_vs_target_difference,
 )
-from scrollhilb.series import special_series_degree_bounds
 
 
 def y_param_count(d: int, g: int, l: int, k: int, m: int) -> int:
@@ -148,8 +147,8 @@ def test_new_component_margins_on_grid():
 def test_target_margin_is_k_times_l_minus_k_below_the_formula_gap(data, g):
     # l >= 2 has general moduli for g >= 4l, so every k in [0, l) is defined
     l = data.draw(st.integers(2, g // 4))
-    lo, hi = special_series_degree_bounds(g, l)
-    m = data.draw(st.integers(lo, hi))
+    ms = admissible_m_range(g, l)
+    m = data.draw(st.integers(ms[0], ms[-1]))
     d = min_degree_threshold(g, l) + data.draw(st.integers(0, 8 * g))
     k = data.draw(st.integers(0, l - 1))
     pp = ProjectionParams(d, g, l, k, m)

@@ -127,6 +127,8 @@ def test_a_record_is_the_tuple_of_its_fields():
     assert ComponentRecord._fields == (
         "d", "g", "h1", "m", "dim", "bundle_class", "t", "notes"
     )
+    # one way to build a component record: all eight fields, none defaulted
+    assert ComponentRecord._field_defaults == {}
     assert SectionData._fields == ("m", "h", "gamma_sq", "t_ext")
     assert DivisorCaseDims._fields == ("h_dim",)
     assert ClassificationReport._fields == ("params", "components", "include_gonal")

@@ -20,7 +20,6 @@ from scrollhilb.series import (
     _first_general_moduli_genus,
     _has_general_moduli,
     _section_degree_range,
-    special_series_degree_bounds,
 )
 
 
@@ -146,14 +145,6 @@ def test_series_spec_invariants():
         with pytest.raises(InvalidParameters) as exc:
             SeriesSpec(*args)
         assert (exc.value.code, exc.value.detail) == (code, detail)
-
-
-def test_degree_bounds_special_case_and_gate():
-    assert special_series_degree_bounds(3, 1) == (4, 4)
-    assert special_series_degree_bounds(8, 2) == (9, 9)
-    with pytest.raises(InvalidParameters) as exc:
-        special_series_degree_bounds(6, 2)
-    assert exc.value.code == "BN1-violated"
 
 
 def test_has_general_moduli_examples():
