@@ -195,11 +195,19 @@ def component_dimension_h1_1(d: int, g: int) -> int:
 def sublocus_codim_h1_1(g: int, m: int) -> int:
     """Codimension 2g - 2 - m of the locus of speciality-1 scrolls whose
     special section has degree m < 2g - 2 (inside the canonical-section
-    component)."""
-    if m >= 2 * g - 2:
+    component).
+
+    The degree m must lie in ``admissible_m_range(g, 1)``, checked as there
+    (speciality, then general moduli, then the range [g + 2, 2g - 2]), and
+    then below the canonical degree 2g - 2.  Below g + 2 there is no such
+    locus: the section spans P^h with h = m - g + 1 <= 2, and a smooth curve
+    of genus g >= 4 spans no line, nor is it a smooth plane curve of degree
+    m, whose genus would be (m - 1)(m - 2)/2 != g.  At (3, 1), the plane
+    quartic, the range is m = 4 = 2g - 2 alone, so no degree passes."""
+    _require_speciality(g, 1)
+    _section_degree_range(g, 1, m)
+    if m == 2 * g - 2:
         raise InvalidParameters("m-not-below-canonical", f"m = {m} >= 2g - 2 = {2 * g - 2}")
-    if m < 4:
-        raise InvalidParameters("m-out-of-range", f"m = {m} < 4")
     return 2 * g - 2 - m
 
 

@@ -34,7 +34,7 @@ keeps only the scan cells where it holds and d reaches the threshold, and
 check code 2 before code 1 (``min_degree_threshold(2, 2)`` raises
 ``speciality-out-of-range``), while ``ScrollParams(d, 2, 2)`` raises
 ``genus-too-small``.  README.md lists every code, with the other bounds of
-codes 1, 3 and 6.
+codes 1 and 3.
 """
 
 from __future__ import annotations

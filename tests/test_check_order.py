@@ -4,7 +4,9 @@ documented order, over integers up to 10**30 drawn near every boundary.
 ``ProjectionParams`` is held to the chain it documents (its own k check,
 then ``ScrollParams``, then ``require_admissible``); ``require_admissible``
 is held to a reference built from the second form of the degree threshold,
-``max_special_degree`` and the general-moduli predicate.
+``max_special_degree`` and the general-moduli predicate;
+``sublocus_codim_h1_1`` to the checks of ``admissible_m_range(g, 1)``, then
+the canonical degree.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from scrollhilb import (
     InvalidParameters,
     ProjectionParams,
     ScrollParams,
+    admissible_m_range,
     section_uniqueness_threshold,
     singular_by_smaller_section,
+    sublocus_codim_h1_1,
 )
 from scrollhilb.scroll import require_admissible
 from scrollhilb.series import _has_general_moduli, max_special_degree
@@ -154,3 +158,48 @@ def test_singular_by_smaller_section_reports_the_outer_degree_first(data, g):
         singular_by_smaller_section(g, h1, m_outer, m_inner)
     assert exc.value.detail.startswith(f"m = {m_outer} not in [{lo}, {hi}]")
 
+
+
+def _reference_sublocus(g: int, m: int) -> int | str:
+    """sublocus_codim_h1_1 written from its documented order, as its result
+    or the code it raises: speciality 0 < 1 < g, general moduli (g >= 4, or
+    g = 3), the range [g + 2, 2g - 2] ([4, 4] at g = 3), then m below 2g - 2."""
+    if g <= 1:
+        return "speciality-out-of-range"
+    if g == 2:
+        return "BN1-violated"
+    lo, hi = (4, 4) if g == 3 else (g + 2, 2 * g - 2)
+    if not lo <= m <= hi:
+        return "m-out-of-range"
+    if m == 2 * g - 2:
+        return "m-not-below-canonical"
+    return 2 * g - 2 - m
+
+
+@st.composite
+def genus_and_m(draw) -> tuple[int, int]:
+    g = draw(st.one_of(near(3), st.integers(4, BIG), ANY))
+    m = draw(st.one_of(near(g + 2), near(2 * g - 2), near(4),
+                       st.integers(g + 2, max(g + 2, 2 * g - 2)), ANY))
+    return g, m
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(case=genus_and_m())
+@example(case=(1, 0))  # speciality-out-of-range
+@example(case=(2, 2))  # BN1-violated
+@example(case=(3, 3))  # m-out-of-range, the (3, 1) case
+@example(case=(3, 4))  # m-not-below-canonical, the (3, 1) case
+@example(case=(10, 11))  # m-out-of-range, below
+@example(case=(10, 19))  # m-out-of-range, above
+@example(case=(10, 18))  # m-not-below-canonical
+@example(case=(10, 12))  # the codimension 6
+def test_sublocus_codim_h1_1_keeps_to_the_admissible_range(case):
+    g, m = case
+    try:
+        got = sublocus_codim_h1_1(g, m)
+    except InvalidParameters as exc:
+        got = exc.code
+    assert got == _reference_sublocus(g, m)
+    below_canonical = g >= 3 and m in admissible_m_range(g, 1) and m != 2 * g - 2
+    assert isinstance(got, int) == below_canonical

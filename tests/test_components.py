@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grids import GMAX, degree_values, scroll_grid, speciality_values
+from grids import GMAX, degree_values, speciality_values
 from scrollhilb import components
 from scrollhilb import (
     BundleClass,
@@ -114,6 +114,9 @@ def test_sublocus_codim():
     with pytest.raises(InvalidParameters) as exc:
         sublocus_codim_h1_1(3, 4)  # m = 2g - 2 exactly
     assert exc.value.code == "m-not-below-canonical"
+    with pytest.raises(InvalidParameters) as exc:
+        sublocus_codim_h1_1(10, 11)  # below the admissible range [g + 2, 2g - 2]
+    assert str(exc.value) == "m-out-of-range: m = 11 not in [12, 18] for (g, h1) = (10, 1)"
 
 
 def test_classify_speciality_one():
@@ -279,15 +282,6 @@ def test_singular_by_smaller_section():
     assert singular_by_smaller_section(8, 2, 9, 9) is False
     with pytest.raises(InvalidParameters):
         singular_by_smaller_section(8, 2, 9, 8)  # 8 below the admissible range
-
-
-def test_triple_agreement_spot_grid():
-    from scrollhilb import dim_via_parameter_count, h0_explicit
-
-    for p, m in scroll_grid(14):
-        a = component_dimension(p, m)
-        assert a == h0_explicit(p, m)
-        assert a == dim_via_parameter_count(p, m)
 
 
 @st.composite

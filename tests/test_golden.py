@@ -331,7 +331,7 @@ def library_transcript():
 
 
 LIBRARY_LINES = 149383
-LIBRARY_DIGEST = "08f5d25058f5daa060952a1ee8223496984bc513143ed086e3a7dcd2219dda3e"
+LIBRARY_DIGEST = "8b4e7f3128f616fd3d6c962fd75e8ad726473797d3e1a172eff670b0dd6532a5"
 
 
 def test_library_transcript_golden():

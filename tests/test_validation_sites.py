@@ -3,7 +3,7 @@
 ``RAISE_SITES`` names every function that builds an ``InvalidParameters``,
 by code.  A code with one site is checked once; the codes with two or more
 sites are the rules the README and the ``errors`` docstring list, each with
-its reason.  The four guarded codes were once raised from several functions
+its reason.  The five guarded codes were once raised from several functions
 at once; each now has one helper, and a second site for one of them would
 be a new copy of its check.
 """
@@ -23,6 +23,7 @@ GUARDED_CODES = (
     "speciality-out-of-range",
     "not-a-section",
     "nonnegative-self-intersection",
+    "m-out-of-range",
 )
 
 # code -> the sorted ``module.qualname`` of each InvalidParameters(code, ...)
@@ -43,7 +44,7 @@ RAISE_SITES = {
     "k-out-of-range": ("projections.ProjectionParams.__new__",),
     "l-out-of-range": ("gonal._z_gate", "gonal.rem19608_family"),
     "m-not-below-canonical": ("components.sublocus_codim_h1_1",),
-    "m-out-of-range": ("components.sublocus_codim_h1_1", "series._section_degree_range"),
+    "m-out-of-range": ("series._section_degree_range",),
     "malformed-degree-policy": ("cli._parse_degree_policy",),
     "malformed-range": ("cli._parse_range", "cli._parse_range"),
     "missing-flags": ("cli.cmd_gonal",),
