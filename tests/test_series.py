@@ -1,4 +1,5 @@
-"""Linear-series arithmetic: Riemann-Roch, Brill-Noether, Clifford, gonality."""
+"""Linear-series arithmetic: Riemann-Roch, Brill-Noether, Clifford, gonality.
+``test_certificate.py`` certifies the two Brill-Noether forms' agreement."""
 
 from __future__ import annotations
 
@@ -36,6 +37,8 @@ def test_riemann_roch_h0_examples():
     assert riemann_roch_h0(5, 8, 0) == 4  # non-special: h0 = deg - g + 1
     # matches the gonal-curve count h0 = g - r(t-1) at (g, r, t) = (19, 4, 3)
     assert riemann_roch_h0(19, 24, 5) == 11 == 19 - 4 * (3 - 1)
+    # g = 0 is accepted; only g < 0 raises genus-too-small
+    assert riemann_roch_h0(0, 0, 0) == 1 and riemann_roch_h0(0, -1, 0) == 0
 
 
 def test_riemann_roch_h0_rejects_negative():
@@ -74,14 +77,6 @@ def test_rho_of_bundle_examples():
     for g in range(2, 20):
         assert rho_of_bundle(g, 7, 0) == g  # non-special bundle
     assert rho_of_bundle(19, 11, 5) == -36  # not on a general curve
-
-
-@settings(derandomize=True, max_examples=300)
-@given(g=st.integers(2, 200), r=st.integers(0, 60), m=st.integers(0, 500))
-def test_rho_forms_agree_under_riemann_roch(g, r, m):
-    i = g - m + r
-    if i >= 0:
-        assert brill_noether_rho(g, r, m) == rho_of_bundle(g, r + 1, i)
 
 
 def test_clifford_index_general():
