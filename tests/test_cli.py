@@ -1,4 +1,12 @@
-"""CLI behaviour: exit codes, streams, schemas, determinism."""
+"""CLI behaviour: exit codes, streams, schemas.
+
+Each check is made once.  Both writers are compared with the same reference
+row, ``_row_dict``, so JSON and CSV agree on any records; that a rerun
+writes the same bytes is acceptance criterion 10; that the scan's walk keeps
+the cells of a brute-force walk is ``test_components.py``'s
+``test_scan_cells_are_the_cells_of_a_brute_force_walk``, and the scan cases
+of ``CLI_GOLDEN`` in ``test_golden.py`` pin how ``scan`` hands those cells to
+``classify`` and the writer."""
 
 from __future__ import annotations
 
@@ -160,42 +168,6 @@ def test_project_speciality_one_below_the_divisor_degree():
     )
 
 
-def _assert_same_rows(jrows: list[dict], cs: str) -> None:
-    """The CSV rows render the JSON rows field by field: notes joined by
-    "; ", booleans as true/false, None as an empty cell."""
-    crows = list(csv.reader(io.StringIO(cs)))
-    assert crows[0] == COMPONENT_COLUMNS
-    assert len(crows) == len(jrows) + 1
-    for jr, cr in zip(jrows, crows[1:]):
-        assert list(jr) == COMPONENT_COLUMNS
-        for field, cell in zip(COMPONENT_COLUMNS, cr):
-            value = jr[field]
-            if field == "notes":
-                assert cell == "; ".join(value)
-            elif value is None:
-                assert cell == ""
-            elif isinstance(value, bool):
-                assert cell == ("true" if value else "false")
-            else:
-                assert cell == str(value)
-
-
-def test_json_and_csv_numeric_content_agree():
-    for argv in (("classify", "--d", "40", "--g", "9", "--h1", "1"),
-                 ("classify", "--d", "200", "--g", "33", "--h1", "3", "--gonal")):
-        _, js, _ = invoke(*argv, "--format", "json")
-        _, cs, _ = invoke(*argv, "--format", "csv")
-        _assert_same_rows(json.loads(js)["components"], cs)
-    argv = ("scan", "--g", "3..40", "--h1", "1..40", "--d", "200,235,240", "--gonal")
-    _, js, _ = invoke(*argv, "--format", "json")
-    _, cs, _ = invoke(*argv, "--format", "csv")
-    jrows = json.loads(js)["rows"]
-    # the comparison covers anchored notes, gonal rows and empty cells
-    assert any(r["notes"] for r in jrows)
-    assert any(r["kind"] != "general-moduli" for r in jrows)
-    _assert_same_rows(jrows, cs)
-
-
 def test_verify_failure_exits_3(monkeypatch):
     import scrollhilb.cli as cli_module
 
@@ -206,21 +178,6 @@ def test_verify_failure_exits_3(monkeypatch):
     assert code == 3
     assert out == ""
     assert "verify: mismatch" in err
-
-
-def test_byte_identical_reruns():
-    commands = [
-        ("classify", "--d", "10", "--g", "3", "--h1", "1", "--format", "json"),
-        ("classify", "--d", "55", "--g", "10", "--h1", "2", "--gonal", "--format", "csv"),
-        ("scan", "--g", "3..10", "--h1", "1..3", "--d", "min", "--format", "csv"),
-        ("gonal", "--g", "19", "--t", "3", "--l", "5", "--d", "110"),
-        ("project", "--d", "28", "--g", "8", "--l", "1", "--k", "0", "--m", "14"),
-    ]
-    for cmd in commands:
-        first = invoke(*cmd)
-        second = invoke(*cmd)
-        assert first == second
-        assert first[0] == 0
 
 
 def test_scan_malformed_degree_policy_on_a_grid_without_cells():
@@ -402,30 +359,6 @@ def test_scan_memory_does_not_grow_with_the_grid(fmt):
             tracemalloc.stop()
     assert code == 0
     assert peak < 2 * 2**20
-
-
-@pytest.mark.parametrize(
-    ("policy", "h1_lo"),
-    [pytest.param(policy, -1, id=policy)
-     for policy in ["1", "9,10", "28,40", "31,120,36", "+-1", "+0", "+2"]]
-    + [pytest.param("+0", 3, id="+0,h1=3..12")],
-)
-def test_bounded_scan_writes_what_the_full_walk_writes(policy, h1_lo):
-    # the full walk: every (g, h1, d) of the grid, kept by the cell rule
-    rows = []
-    for g in range(0, 41):
-        for h1 in range(max(h1_lo, 1), 13):
-            if not _has_general_moduli(g, h1):
-                continue
-            thr = min_degree_threshold(g, h1)
-            degrees = [thr + int(policy[1:])] if policy[0] == "+" else map(int, policy.split(","))
-            for d in sorted(degrees):
-                if d >= thr:
-                    rows += classify(ScrollParams(d, g, h1), include_gonal=True).components
-    expected = io.StringIO()
-    _emit_json(expected, {"rows": rows})
-    code, out, err = invoke("scan", "--g", "0..40", f"--h1={h1_lo}..12", "--d", policy, "--gonal")
-    assert (code, out, err) == (0, expected.getvalue(), "")
 
 
 def _record_general_moduli_calls(monkeypatch) -> list[tuple[int, int]]:

@@ -17,7 +17,7 @@ import io
 import pytest
 
 import scrollhilb as lib
-from scrollhilb import cli, components, projections, scroll, series
+from scrollhilb import cli, components, scroll, series
 from test_cli import output_before_cell
 
 

@@ -1,6 +1,7 @@
 """Gonal-curve components: gates, dimensions, comparison with the
 general-moduli components.  ``test_certificate.py`` certifies their
-dimension identities for every integer."""
+dimension identities for every integer, and ``test_records.py`` checks that
+``a``, ``m`` and ``R`` are properties, not parameters."""
 
 from __future__ import annotations
 
@@ -155,17 +156,6 @@ def test_gonal_params_validation_order():
         with pytest.raises(InvalidParameters) as exc:
             GonalParams(*args)
         assert exc.value.code == code, args
-
-
-def test_gonal_params_derived_fields_are_not_parameters():
-    gp = GonalParams(19, 3, 5, 110)
-    assert (gp.a, gp.m) == (11, 24)
-    assert repr(gp) == "GonalParams(g=19, t=3, l=5, d=110)"
-    for extra in ({"a": 1}, {"m": 1}):
-        with pytest.raises(TypeError):
-            GonalParams(19, 3, 5, 110, **extra)
-    with pytest.raises(TypeError):
-        GonalParams(19, 3, 5, 110, 1, 1)
 
 
 def test_z_component_dimension_examples():

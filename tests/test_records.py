@@ -1,10 +1,20 @@
 """The package's records are immutable named tuples, and the validated ones
 check their fields however they are built: by the constructor, ``_make`` or
-``_replace``."""
+``_replace``.
+
+Each derived value of each record in the README's table of records is
+checked by one test, ``test_a_derived_value_is_a_documented_property_not_a_field``:
+a documented, read-only property that no constructor, ``_replace`` or
+``setattr`` takes.  The example tests of each module state the values
+(``test_series_spec_invariants``, ``test_section_data_examples``,
+``test_normal_bundle_cohomology_examples``, ``test_divisor_case_examples``,
+``test_gonal_params_validation_order``), and ``test_api.py`` pins the field
+list of every record in that table."""
 
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 import sys
 
@@ -12,14 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scrollhilb
 from scrollhilb import (
     CohomologyTriple,
-    DivisorCaseDims,
     GonalParams,
     InvalidParameters,
     ProjectionParams,
     ScrollParams,
-    SectionData,
     SeriesSpec,
     classify,
     divisor_case,
@@ -29,9 +38,10 @@ from scrollhilb import (
     riemann_roch_h0,
     section_data,
 )
-from scrollhilb.components import ClassificationReport, ComponentKind, ComponentRecord
+from scrollhilb.components import ComponentKind, ComponentRecord
 from scrollhilb.errors import _Checked
 from grids import GMAX, degree_values, scroll_grid, speciality_values
+from test_api import _readme_records
 from test_gonal import large_gonal_params
 
 # what namedtuple._replace raises for a name that is not a field
@@ -77,9 +87,6 @@ def test_gonal_replace_derives_a_and_m_again():
     t4, l2 = gp._replace(t=4), gp._replace(l=2)
     assert t4 == GonalParams(40, 4, 5, 235) == (40, 4, 5, 235) and (t4.a, t4.m) == (15, 62)
     assert l2 == (40, 3, 2, 235) and (l2.a, l2.m) == (21, 75)
-    for derived in ({"a": 21}, {"m": 66}):
-        with pytest.raises(NOT_A_FIELD):
-            gp._replace(**derived)
 
 
 @pytest.mark.parametrize("record", _validated_records() + _plain_records(),
@@ -116,22 +123,40 @@ def test_copy_and_pickle_return_an_equal_record(record):
         assert type(other) is type(record) and other == record
 
 
+SAMPLES = {type(record).__name__: record for record in _validated_records() + _plain_records()}
+# (record, property) of each derived value of each record in the README's table
+DERIVED = [
+    (name, attr)
+    for name, _ in _readme_records()
+    for attr, _ in inspect.getmembers(getattr(scrollhilb, name), lambda v: isinstance(v, property))
+]
+
+
+@pytest.mark.parametrize("name, attr", DERIVED, ids=[f"{n}.{a}" for n, a in DERIVED])
+def test_a_derived_value_is_a_documented_property_not_a_field(name, attr):
+    # a sample of each record in the table, so a new record's values are checked too
+    assert sorted(SAMPLES) == sorted(row for row, _ in _readme_records())
+    record = SAMPLES[name]
+    cls, value = type(record), getattr(record, attr)
+    assert (getattr(cls, attr).__doc__ or "").strip()
+    assert attr not in cls._fields
+    with pytest.raises(NOT_A_FIELD):
+        record._replace(**{attr: value})
+    with pytest.raises(AttributeError):
+        setattr(record, attr, value)
+    # the constructor takes the fields alone, by name or by position
+    for build in (lambda: cls(*record, **{attr: value}), lambda: cls(*record, value)):
+        with pytest.raises(TypeError):
+            build()
+
+
 def test_a_record_is_the_tuple_of_its_fields():
     p = ScrollParams(10, 3, 1)
     assert p == (10, 3, 1) and hash(p) == hash((10, 3, 1))
     assert GonalParams(19, 3, 5, 110) == (19, 3, 5, 110)
-    assert p._fields == ("d", "g", "h1")
-    assert GonalParams._fields == ("g", "t", "l", "d")
-    assert CohomologyTriple._fields == ("h0", "h1n")
-    assert SeriesSpec._fields == ("g", "m", "i")
-    assert ComponentRecord._fields == (
-        "d", "g", "h1", "m", "dim", "bundle_class", "t", "notes"
-    )
+    assert repr(GonalParams(19, 3, 5, 110)) == "GonalParams(g=19, t=3, l=5, d=110)"
     # one way to build a component record: all eight fields, none defaulted
     assert ComponentRecord._field_defaults == {}
-    assert SectionData._fields == ("m", "h", "gamma_sq", "t_ext")
-    assert DivisorCaseDims._fields == ("h_dim",)
-    assert ClassificationReport._fields == ("params", "components", "include_gonal")
 
 
 def test_every_validated_record_builds_through_the_shared_make():
@@ -212,60 +237,6 @@ def test_classification_flags_are_derived_from_the_components():
         ("complete",),
         (),
     }
-
-
-def test_derived_classification_values_are_not_fields():
-    report = classify(ScrollParams(235, 40, 2), True)
-    rec = report.components[-1]
-    assert rec.kind is ComponentKind.GONAL and rec.l == 2
-    for record, name in ((rec, "kind"), (rec, "l"), (rec, "generically_smooth"),
-                         (report, "reducible"), (report, "equidimensional"),
-                         (report, "complete"), (report, "notes")):
-        with pytest.raises(NOT_A_FIELD):
-            record._replace(**{name: getattr(record, name)})
-        with pytest.raises(AttributeError):
-            setattr(record, name, getattr(record, name))
-    with pytest.raises(TypeError):
-        ComponentRecord(*rec, l=3)
-    with pytest.raises(TypeError):  # the nine-argument call of the record that stored kind
-        ComponentRecord(ComponentKind.GONAL, *rec)
-    with pytest.raises(TypeError):
-        ClassificationReport(*report, reducible=True)
-    # complete and notes are not constructor arguments
-    with pytest.raises(TypeError):
-        ClassificationReport(report.params, [], True, [])
-
-
-def test_h2_chi_and_h_are_properties_not_fields():
-    c, s = CohomologyTriple(5, 2), SeriesSpec(19, 24, 5)
-    assert (c.h2, c.chi) == (0, 3) and c == (5, 2)
-    assert (s.h, s.h0) == (10, 11) and s == (19, 24, 5)
-    for record, name in ((c, "h2"), (c, "chi"), (s, "h")):
-        with pytest.raises(NOT_A_FIELD):
-            record._replace(**{name: getattr(record, name)})
-        with pytest.raises(AttributeError):
-            setattr(record, name, getattr(record, name))
-    # the four-argument calls of the records that stored them
-    with pytest.raises(TypeError):
-        CohomologyTriple(5, 2, 0, 3)
-    with pytest.raises(TypeError):
-        SeriesSpec(19, 24, 10, 5)
-
-
-def test_degN_and_y_dim_are_properties_not_fields():
-    s, dims = section_data(ScrollParams(40, 9, 1), 16), divisor_case(28, 8)
-    assert s == (16, 8, -8, 0) and s.degN == 24 == 40 - 16
-    assert dims == (245,) and dims.y_dim == 244
-    for record, name in ((s, "degN"), (dims, "y_dim")):
-        with pytest.raises(NOT_A_FIELD):
-            record._replace(**{name: getattr(record, name)})
-        with pytest.raises(AttributeError):
-            setattr(record, name, getattr(record, name))
-    # the calls of the records that stored them
-    with pytest.raises(TypeError):
-        SectionData(16, 8, -8, 24, 0)
-    with pytest.raises(TypeError):
-        DivisorCaseDims(245, 244)
 
 
 def test_series_dimension_follows_riemann_roch_on_the_grid():

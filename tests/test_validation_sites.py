@@ -6,6 +6,8 @@ sites are the rules the README and the ``errors`` docstring list, each with
 its reason.  The five guarded codes were once raised from several functions
 at once; each now has one helper, and a second site for one of them would
 be a new copy of its check.
+
+No module of the package or of the tests imports a name it never reads.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from pathlib import Path
 import scrollhilb
 
 SRC = Path(scrollhilb.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 GUARDED_CODES = (
     "degree-below-threshold",
@@ -200,3 +203,24 @@ def test_scan_catches_nothing():
                 if isinstance(n, ast.FunctionDef) and n.name == "_scan_cells"]
     for fn in (scan, rows, cells):
         assert not [node for node in ast.walk(fn) if isinstance(node, ast.Try)]
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """The names ``path`` imports and never reads; ``from __future__``
+    imports compiler features, not names."""
+    tree = _tree(path)
+    imported = [alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+                for alias in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package's __init__ imports what it exports
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    unread = {path.name: names for path in paths + sorted(TESTS.glob("*.py"))
+              if (names := _unread_imports(path))}
+    assert unread == {}
