@@ -13,13 +13,15 @@ it early (as a shell reports death by SIGPIPE), 1 reserved for unexpected
 faults.  Output is byte-deterministic: same flags, same bytes.
 
 Component rows are written straight from the ``ComponentRecord`` of each
-component, one fixed encoder per column; nothing sits between a record and
-its bytes.  ``scan`` classifies, verifies and writes one cell at a time, so
-its memory does not grow with the grid; which cells it visits, and every
-bound of that walk, is stated once, in ``components._scan_cells``.  When it
-fails on a cell (exit 2 or 3), stdout holds the rows of the cells before
-that cell and is left unterminated: a JSON document without its closing
-brackets.  The other commands write nothing to stdout before a failure.
+component: a JSON row fills the template of its kind, in which the values
+the kind fixes are already text, and a CSV row goes through one fixed
+encoder per column; nothing sits between a record and its bytes.  ``scan``
+classifies, verifies and writes one cell at a time, so its memory does not
+grow with the grid; which cells it visits, and every bound of that walk, is
+stated once, in ``components._scan_cells``.  When it fails on a cell (exit
+2 or 3), stdout holds the rows of the cells before that cell and is left
+unterminated: a JSON document without its closing brackets.  The other
+commands write nothing to stdout before a failure.
 """
 
 from __future__ import annotations
@@ -48,12 +50,18 @@ COMPONENT_COLUMNS = [
 ]
 
 
-# The JSON and CSV text of each value the kind, generically_smooth and
-# bundle_class columns take, keyed by identity: these values are singletons,
-# and hashing an Enum member is a Python-level call.  In CSV an absent value
-# is an empty cell (not zero) and a boolean is true/false.
+def _json_text(value) -> str:
+    """The JSON text of None, a bool or an enum member (its value)."""
+    return json.dumps(getattr(value, "value", value))
+
+
+# The text of each value the bundle_class column takes in JSON, and of each
+# value the kind, generically_smooth and bundle_class columns take in CSV,
+# keyed by identity: these values are singletons, and hashing an Enum member
+# is a Python-level call.  In CSV an absent value is an empty cell (not zero)
+# and a boolean is true/false.
 _ENUMS = [*comp.ComponentKind, *BundleClass]
-_JSON_TEXT = {id(v): json.dumps(getattr(v, "value", v)) for v in [None, True, False, *_ENUMS]}
+_JSON_TEXT = {id(v): _json_text(v) for v in [None, *BundleClass]}
 _CSV_TEXT = {id(None): "", id(True): "true", id(False): "false",
              **{id(v): v.value for v in _ENUMS}}
 
@@ -80,26 +88,32 @@ def _emit_csv(stdout, columns: list[str], rows: Iterable) -> None:
         writer.writerows([_CSV_TEXT.get(id(row[c]), row[c]) for c in columns] for row in rows)
 
 
-# One component row, after the separator from the row before it, as
-# json.dumps(doc, indent=2) lays it out in the row list of a top-level object.
-_ROW = (
-    "%s    {\n"
-    + "".join(f'      "{c}": %s,\n' for c in COMPONENT_COLUMNS[:-1])
-    + '      "notes": %s\n    }'
-)
+def _json_row_template(**fixed) -> str:
+    """One component row, after the separator from the row before it, as
+    json.dumps(doc, indent=2) lays it out in the row list of a top-level
+    object: each column named in ``fixed`` holds the JSON text of its value,
+    every other column a %s."""
+    cells = [f'"{c}": {_json_text(fixed[c]) if c in fixed else "%s"}' for c in COMPONENT_COLUMNS]
+    return "%s    {\n      " + ",\n      ".join(cells) + "\n    }"
+
+
+# the row of each ComponentKind, with the values its kind fixes
+_GENERAL_ROW = _json_row_template(
+    kind=comp.ComponentKind.GENERAL_MODULI, t=None, l=None, generically_smooth=True)
+_GONAL_ROW = _json_row_template(kind=comp.ComponentKind.GONAL, generically_smooth=None)
 _ROW_LISTS = ("rows", "components")  # the keys whose lists hold component rows
 
 
 def _json_row(sep: str, rec: comp.ComponentRecord) -> str:
-    """The JSON row of one component record, after ``sep``; ints format as
-    themselves under ``%s``."""
-    texts = [_json_str(n.text) for n in rec.notes]
+    """The JSON row of one component record, after ``sep``, from the template
+    of its kind; ints format as themselves under ``%s``, and a gonal row's l
+    is its h1."""
+    d, g, h1, m, dim, bundle_class, t, notes = rec
+    texts = [_json_str(n.text) for n in notes]
     notes = "[\n        " + ",\n        ".join(texts) + "\n      ]" if texts else "[]"
-    return _ROW % (
-        sep, _JSON_TEXT[id(rec.kind)], rec.d, rec.g, rec.h1, rec.m,
-        "null" if rec.t is None else rec.t, "null" if rec.l is None else rec.l, rec.dim,
-        _JSON_TEXT[id(rec.generically_smooth)], _JSON_TEXT[id(rec.bundle_class)], notes,
-    )
+    if rec.kind is comp.ComponentKind.GENERAL_MODULI:
+        return _GENERAL_ROW % (sep, d, g, h1, m, dim, _JSON_TEXT[id(bundle_class)], notes)
+    return _GONAL_ROW % (sep, d, g, h1, m, t, h1, dim, _JSON_TEXT[id(bundle_class)], notes)
 
 
 def _emit_json(stdout, doc: dict) -> None:
@@ -107,10 +121,10 @@ def _emit_json(stdout, doc: dict) -> None:
     the component records under "rows" and "components" stand for their rows
     (the dicts keyed by ``COMPONENT_COLUMNS``, notes as a list of texts).
     Those records may come from any iterable, a one-shot generator included;
-    each row is rendered from ``_ROW`` and written as it comes, so when the
-    iterable raises, stdout ends after the last whole row.  Every other value
-    goes through ``json.dumps``, indented one level (JSON strings hold no raw
-    newline)."""
+    each row is rendered from the template of its kind and written as it
+    comes, so when the iterable raises, stdout ends after the last whole row.
+    Every other value goes through ``json.dumps``, indented one level (JSON
+    strings hold no raw newline)."""
     write = stdout.write
     sep = "{\n  "
     for key, value in doc.items():
@@ -146,10 +160,10 @@ class _VerifyMismatch(Exception):
 
 def _verify_report(report: comp.ClassificationReport) -> None:
     """Recompute every component dimension via the parameter-count oracle."""
-    mismatches = []
+    params, mismatches = report.params, []
     for rec in report.components:
         if rec.t is None:
-            check = oracle.dim_via_parameter_count(report.params, rec.m)
+            check = oracle.dim_via_parameter_count(params, rec.m)
         else:
             gp = gonalmod.GonalParams(rec.g, rec.t, rec.h1, rec.d)
             check = oracle.z_dim_via_parameter_count(gp)

@@ -14,6 +14,7 @@ makes it complete for speciality 2.
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -235,6 +236,19 @@ def singular_by_smaller_section(g: int, h1: int, m_outer: int, m_inner: int) -> 
     return m_inner < m_outer
 
 
+@functools.lru_cache(maxsize=4096)
+def _singular_overlap(m: int) -> ReportNote:
+    """The singular-overlap note of the component with section degree ``m``,
+    built once per m while it is among the last 4,096 asked for (a note is an
+    immutable tuple, so records share it)."""
+    return ReportNote(
+        "singular-overlap",
+        f"scrolls of this component whose minimal special section "
+        f"has admissible degree below {m} lie on two components and "
+        "are singular points",
+    )
+
+
 def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationReport:
     """Full component list of the Hilbert scheme at (d, g, h1).
 
@@ -247,7 +261,7 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
     records and ``include_gonal``; its notes about the whole Hilbert scheme
     and its ``complete`` flag follow from h1 and ``include_gonal``.
     """
-    d, g, h1 = p.d, p.g, p.h1
+    d, g, h1 = p
     _degree_threshold(g, h1, d)
     lo, hi = _section_degree_range(g, h1)
     if h1 == 1 and hi != 2 * g - 2:
@@ -283,26 +297,21 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
             if singular_point_predicate(g, h1, m):
                 notes.append(_SINGULAR_LOCUS)
             if m > lo:
-                notes.append(ReportNote(
-                    "singular-overlap",
-                    f"scrolls of this component whose minimal special section "
-                    f"has admissible degree below {m} lie on two components and "
-                    "are singular points",
-                ))
+                notes.append(_singular_overlap(m))
         records.append(ComponentRecord(d, g, h1, m, component_dimension_formula(d, g, h1, m),
                                        bundle_class, None, tuple(notes)))
 
     if include_gonal:
-        for gp in enumerate_z_components(d, g, h1):
-            notes = []
-            if gp.l >= 3:  # then the excess is positive (z_vs_h_difference)
-                notes.append(ReportNote(
-                    "not-contained",
-                    f"Z({gp.t},{gp.l}) is not contained in any general-moduli "
-                    f"component (dimension excess {z_vs_h_difference(gp)})",
-                ))
-            records.append(ComponentRecord(d, g, h1, gp.m, z_component_dimension(gp),
-                                           _bundle_class(p, gp.m), gp.t, tuple(notes)))
+        for gp in enumerate_z_components(d, g, h1):  # each has l = h1
+            m, t = gp.m, gp.t
+            # l >= 3 makes the excess positive (z_vs_h_difference)
+            gonal_notes = (ReportNote(
+                "not-contained",
+                f"Z({t},{h1}) is not contained in any general-moduli "
+                f"component (dimension excess {z_vs_h_difference(gp)})",
+            ),) if h1 >= 3 else ()
+            records.append(ComponentRecord(d, g, h1, m, z_component_dimension(gp),
+                                           _bundle_class(p, m), t, gonal_notes))
 
     return ClassificationReport(p, tuple(records), include_gonal)
 

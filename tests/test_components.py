@@ -225,6 +225,23 @@ def test_classify_checks_the_canonical_range_end(monkeypatch):
         classify(ScrollParams(40, 9, 1))
 
 
+def test_the_singular_overlap_note_cache_is_bounded():
+    note = components._singular_overlap
+    maxsize = note.cache_info().maxsize
+    assert isinstance(maxsize, int)  # None would let it grow with every distinct m
+    p = ScrollParams(1197, 150, 5)
+    classify(p, include_gonal=True)
+    warm = classify(p, include_gonal=True)
+    assert "singular-overlap" in [n.code for rec in warm.components for n in rec.notes]
+    big = 10**1999  # 2,000 digits
+    for m in [*range(maxsize + 9), big]:
+        note(m)
+    assert note.cache_info().currsize == maxsize
+    assert f"below {big} lie" in note(big).text
+    note.cache_clear()
+    assert classify(p, include_gonal=True) == warm
+
+
 def test_classify_propagates_validation():
     with pytest.raises(InvalidParameters) as exc:
         classify(ScrollParams(28, 8, 2))  # below the 4g - 3 = 29 threshold
