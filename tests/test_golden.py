@@ -4,7 +4,8 @@ Each CLI case is the sha256 of ``repr((exit code, stdout, stderr))`` of one
 ``cli.run`` invocation.  The library transcript records, over a grid of
 small and boundary inputs, the result or the ``(code, message)`` of every
 public validator and of every function that checks a hypothesis, and
-commits one digest of it.  A refactor that keeps these hashes keeps every
+commits one line count and digest per function, so a failing run names the
+functions whose lines moved.  A refactor that keeps these hashes keeps every
 output byte, every exit code, every error code and message, and the order
 in which the checks fire.
 """
@@ -330,15 +331,50 @@ def library_transcript():
                         yield rec(lib.ProjectionParams, d, g, h1, k, m)
 
 
-LIBRARY_LINES = 149383
-LIBRARY_DIGEST = "8b4e7f3128f616fd3d6c962fd75e8ad726473797d3e1a172eff670b0dd6532a5"
+# qualname -> (lines, sha256 of those lines), in the order the transcript
+# first calls each function
+LIBRARY_GOLDEN = {
+    "clifford_index_general": (32, "67ab3a612a3c7d107ee1e06e4b5f76c41a9f6b9fe3ff49fdd337068359b0c840"),
+    "gonality_general": (32, "15686d6b06a38cc3e446eb70dbc23c8ed313e4565bee679cd9d5e3b2f698c706"),
+    "rem19608_family": (32, "6db922cd75d1b4cbcbce30adef7da32bcc0dca4b6e9922e82b3989e57935a6d2"),
+    "riemann_roch_h0": (64, "8721426d21cf5aa8159ec829554a3d3777209648e8724a4ba29f6beb52dc5eed"),
+    "ballico_a": (384, "935bd29c6771e8c1418676c2bda756064a8e5052c8279122720a54c10d7ede1e"),
+    "gonal_locus_dimension": (384, "baa007fd9655f6890ae612352835bd63259963b0d3b1eb72711d6b93b63dc47e"),
+    "special_residual_series": (1152, "0c65280caed147b775326410f6a4c2d5ab783451df93fdafa674a85946a52f9f"),
+    "component_dimension_h1_1": (128, "fa9053d75249198d156dce8e07c9b9e8c2544ec46cf753a0982e1c2b6aa4214f"),
+    "divisor_case": (128, "4fc5164e3869acdf3bd6d505bd20f050cc0631aa5dbceb008d5b624fa7afb168"),
+    "max_special_degree": (560, "e9e1b0468186805932460ea55e26ce3193d9bf7d9c4bb265272a19e1b0c41311"),
+    "min_degree_threshold": (560, "ca94457b1409d922c84c794f94bedc278d1c095c99730d10e5860c02dfa9bc12"),
+    "general_moduli_threshold": (560, "c33eb8859fd11ddf4d5948e6d20a39a853673a3cd590336cf3d2473062e044c0"),
+    "admissible_m_range": (560, "2321c287a8fd49c67fb75bce3c895e2c8c15ba0d103522b1638570af1df95bd6"),
+    "SeriesSpec": (3658, "f7aabc6bf047587103b9b42283ab4f37f154d5b72e43b62f5b116e005e493259"),
+    "sublocus_codim_h1_1": (3658, "6005287d176526cee230d814b3027a2a475efe2a0cb0dc00b8727dbd43227b97"),
+    "singular_by_smaller_section": (7316, "6359a7e2f0b6317ab38b8efa69e5b3d17466ca413cb24a948b38368ff56ab751"),
+    "GonalParams": (3360, "248b16b68c37e290da8d7ddb77a158b47f3eafd92f81003d9215b9912e797857"),
+    "ScrollParams": (2745, "62f2be2d0bc346463baad3892256a4396d405c35dd248438a29bb1f8e86d061a"),
+    "ProjectionParams": (19920, "1405d930327a50fa3fcb926fa8550af7a68f1b68d96b9688c877470f9ce1600d"),
+    "classify": (2886, "d8426cdf83540f941ecc0660c8881c70ec669eaf5e5a339189fb5b8e6efa4cd9"),
+    "require_admissible": (12658, "09ab583a529886a847db10b9f1b3aa0e65d311b151708f9e05652f8085e8438f"),
+    "stability_class": (12658, "f85046931be33bc476a2b66dfa5cf505ceff02f77dfc3154068081e3bbf30dab"),
+    "section_data": (12658, "4bbb8abcdd6289563f43331bbe3a55602e045abad28c77723fe7e22e63669c7b"),
+    "component_dimension": (12658, "ae0ef63ee21c1f8de96c63f9348802bf18c4138578344ab6e15eb76dbf53ee66"),
+    "normal_bundle_cohomology": (25316, "d5da621fe07a05381931efd7bbe718f3028abca3f24739c77caec7318a2f7046"),
+    "h0_explicit": (12658, "6bc1034cc4aebf7d67c6ada4a36874fbad6f8abc2abdf9ea64e955b9f6ba7555"),
+    "dim_via_parameter_count": (12658, "19cd1bb418d23d711f8cf4b91368b81edf8b3280360fc4b98e36d5f76a833ae4"),
+}
 
 
 def test_library_transcript_golden():
-    digest = hashlib.sha256()
-    lines = 0
+    counts, digests = {}, {}
     for line in library_transcript():
-        digest.update(line.encode())
-        digest.update(b"\n")
-        lines += 1
-    assert (lines, digest.hexdigest()) == (LIBRARY_LINES, LIBRARY_DIGEST)
+        name = line.split("(", 1)[0]
+        if name not in digests:
+            counts[name], digests[name] = 0, hashlib.sha256()
+        counts[name] += 1
+        digests[name].update(f"{line}\n".encode())
+    got = {name: (counts[name], digests[name].hexdigest()) for name in digests}
+    moved = [f"{name}: {LIBRARY_GOLDEN.get(name, (0,))[0]} -> {got.get(name, (0,))[0]} lines"
+             for name in sorted(LIBRARY_GOLDEN.keys() | got.keys())
+             if got.get(name) != LIBRARY_GOLDEN.get(name)]
+    assert moved == [], "moved entries:\n" + "\n".join(moved)
+    assert list(got) == list(LIBRARY_GOLDEN)
