@@ -13,7 +13,6 @@ from .components import (
     component_dimension,
     component_dimension_formula,
     component_dimension_h1_1,
-    singular_by_smaller_section,
     singular_point_predicate,
     sublocus_codim_h1_1,
 )

@@ -15,13 +15,15 @@ faults.  Output is byte-deterministic: same flags, same bytes.
 Component rows are written straight from the ``ComponentRecord`` of each
 component: a JSON row fills the template of its kind, in which the values
 the kind fixes are already text, and a CSV row goes through one fixed
-encoder per column; nothing sits between a record and its bytes.  ``scan``
-classifies, verifies and writes one cell at a time, so its memory does not
-grow with the grid; which cells it visits, and every bound of that walk, is
-stated once, in ``components._scan_cells``.  When it fails on a cell (exit
-2 or 3), stdout holds the rows of the cells before that cell and is left
-unterminated: a JSON document without its closing brackets.  The other
-commands write nothing to stdout before a failure.
+encoder per column; a note, in either format, fills the template of its
+code (already JSON text for JSON) with its integers, so nothing sits
+between a record and its bytes.  ``scan`` classifies, verifies and writes
+one cell at a time, so its memory does not grow with the grid; which cells
+it visits, and every bound of that walk, is stated once, in
+``components._scan_cells``.  When it fails on a cell (exit 2 or 3), stdout
+holds the rows of the cells before that cell and is left unterminated: a
+JSON document without its closing brackets.  The other commands write
+nothing to stdout before a failure.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def _csv_cells(rec: comp.ComponentRecord) -> list:
     return [
         _CSV_TEXT[id(rec.kind)], rec.d, rec.g, rec.h1, rec.m, rec.t, rec.l, rec.dim,
         _CSV_TEXT[id(rec.generically_smooth)], _CSV_TEXT[id(rec.bundle_class)],
-        "; ".join([n.text for n in rec.notes]),
+        "; ".join([comp._NOTE_TEXT[code] % args for code, args in rec.notes]),
     ]
 
 
@@ -102,14 +104,17 @@ _GENERAL_ROW = _json_row_template(
     kind=comp.ComponentKind.GENERAL_MODULI, t=None, l=None, generically_smooth=True)
 _GONAL_ROW = _json_row_template(kind=comp.ComponentKind.GONAL, generically_smooth=None)
 _ROW_LISTS = ("rows", "components")  # the keys whose lists hold component rows
+# the JSON text of each note's template: encoding leaves each %d as it is,
+# and an int fills it with ASCII digits and '-' alone, which need no escape
+_NOTE_JSON = {code: _json_str(text) for code, text in comp._NOTE_TEXT.items()}
 
 
 def _json_row(sep: str, rec: comp.ComponentRecord) -> str:
     """The JSON row of one component record, after ``sep``, from the template
-    of its kind; ints format as themselves under ``%s``, and a gonal row's l
-    is its h1."""
+    of its kind; ints format as themselves under ``%s``, a gonal row's l is
+    its h1, and each note fills the JSON template of its code."""
     d, g, h1, m, dim, bundle_class, t, notes = rec
-    texts = [_json_str(n.text) for n in notes]
+    texts = [_NOTE_JSON[code] % args for code, args in notes]
     notes = "[\n        " + ",\n        ".join(texts) + "\n      ]" if texts else "[]"
     if rec.kind is comp.ComponentKind.GENERAL_MODULI:
         return _GENERAL_ROW % (sep, d, g, h1, m, dim, _JSON_TEXT[id(bundle_class)], notes)

@@ -14,7 +14,6 @@ makes it complete for speciality 2.
 from __future__ import annotations
 
 import enum
-import functools
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -36,14 +35,44 @@ class ComponentKind(enum.Enum):
     GONAL = "gonal"
 
 
+# the text of each note code, filled with the note's integers
+_NOTE_TEXT = {
+    "boundary-self-intersection":
+        "section self-intersection 2m - d = %d >= 0; bundle class not asserted",
+    "singular-locus":
+        "scrolls whose residual series has base points are singular points of the "
+        "Hilbert scheme",
+    "singular-overlap":
+        "scrolls of this component whose minimal special section has admissible degree "
+        "below %d lie on two components and are singular points",
+    "sublocus-codim":
+        "scrolls with special section of degree %d form a sublocus of codimension %d",
+    "not-contained":
+        "Z(%d,%d) is not contained in any general-moduli component (dimension excess %d)",
+    "closure-containment":
+        "every family with section degree below 2g - 2 lies in the closure of the "
+        "canonical-section component",
+    "connected": "the Hilbert scheme locus is connected",
+    "no-gonal-components": "gonal-curve components require speciality >= 2",
+    "complete":
+        "general-moduli and gonal components exhaust the classification for speciality 2",
+}
+
+
 class ReportNote(NamedTuple):
     """One statement of the classification: a stable kebab-case ``code`` and
-    its text.  A note about one component sits on that component's record;
+    the integers ``args`` it states (none for a constant statement).  A note
+    about one component sits on that component's record;
     ``ClassificationReport.notes`` holds the statements about the whole
     Hilbert scheme (closure containment, connectedness, completeness)."""
 
     code: str
-    text: str
+    args: tuple[int, ...]
+
+    @property
+    def text(self) -> str:
+        """The sentence: the template of ``code`` filled with ``args``."""
+        return _NOTE_TEXT[self.code] % self.args
 
 
 class ComponentRecord(NamedTuple):
@@ -84,26 +113,12 @@ class ComponentRecord(NamedTuple):
         return None if self.t is None else self.h1
 
 
-# the notes whose texts depend on nothing, each built once
-_SINGULAR_LOCUS = ReportNote(
-    "singular-locus",
-    "scrolls whose residual series has base points are "
-    "singular points of the Hilbert scheme",
-)
-_CLOSURE_CONTAINMENT = ReportNote(
-    "closure-containment",
-    "every family with section degree below 2g - 2 lies in the "
-    "closure of the canonical-section component",
-)
-_CONNECTED = ReportNote("connected", "the Hilbert scheme locus is connected")
-_NO_GONAL_COMPONENTS = ReportNote(
-    "no-gonal-components", "gonal-curve components require speciality >= 2"
-)
-_COMPLETE = ReportNote(
-    "complete",
-    "general-moduli and gonal components exhaust the "
-    "classification for speciality 2",
-)
+# the notes that state no integer, each built once
+_SINGULAR_LOCUS = ReportNote("singular-locus", ())
+_CLOSURE_CONTAINMENT = ReportNote("closure-containment", ())
+_CONNECTED = ReportNote("connected", ())
+_NO_GONAL_COMPONENTS = ReportNote("no-gonal-components", ())
+_COMPLETE = ReportNote("complete", ())
 # the report notes of each case, each tuple built once
 _SPECIALITY_1_NOTES = (_CLOSURE_CONTAINMENT, _CONNECTED)
 _SPECIALITY_1_GONAL_NOTES = (*_SPECIALITY_1_NOTES, _NO_GONAL_COMPONENTS)
@@ -226,29 +241,6 @@ def singular_point_predicate(g: int, h1: int, m: int) -> bool:
     return g * (h1 + 1) >= h1 * (m + h1 + 2)
 
 
-def singular_by_smaller_section(g: int, h1: int, m_outer: int, m_inner: int) -> bool:
-    """Whether a scroll of the component with section degree ``m_outer``
-    whose actual minimal special section has degree ``m_inner`` is a singular
-    point (it then lies on the ``m_inner`` component as well)."""
-    _require_speciality(g, h1)
-    _section_degree_range(g, h1, m_outer)
-    _section_degree_range(g, h1, m_inner)
-    return m_inner < m_outer
-
-
-@functools.lru_cache(maxsize=4096)
-def _singular_overlap(m: int) -> ReportNote:
-    """The singular-overlap note of the component with section degree ``m``,
-    built once per m while it is among the last 4,096 asked for (a note is an
-    immutable tuple, so records share it)."""
-    return ReportNote(
-        "singular-overlap",
-        f"scrolls of this component whose minimal special section "
-        f"has admissible degree below {m} lie on two components and "
-        "are singular points",
-    )
-
-
 def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationReport:
     """Full component list of the Hilbert scheme at (d, g, h1).
 
@@ -259,15 +251,13 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
     Records are ordered by increasing m, then by gonality, and each carries
     the notes about that component.  The report holds ``p``, the tuple of
     records and ``include_gonal``; its notes about the whole Hilbert scheme
-    and its ``complete`` flag follow from h1 and ``include_gonal``.
+    and its ``complete`` flag follow from h1 and ``include_gonal``.  At
+    speciality 1 the single record's m, the end of the range, is the
+    canonical degree: 4 = 2*3 - 2 at g = 3, else g // 1 - 1 + g - 1 = 2g - 2.
     """
     d, g, h1 = p
     _degree_threshold(g, h1, d)
     lo, hi = _section_degree_range(g, h1)
-    if h1 == 1 and hi != 2 * g - 2:
-        raise RuntimeError(
-            f"classify: speciality-1 range ends at m = {hi}, not 2g - 2 = {2 * g - 2}"
-        )
 
     records: list[ComponentRecord] = []
 
@@ -277,27 +267,17 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
         notes: list[ReportNote] = []
         if 2 * m - d >= 0:
             bundle_class = None
-            notes.append(ReportNote(
-                "boundary-self-intersection",
-                f"section self-intersection 2m - d = {2 * m - d} >= 0; "
-                "bundle class not asserted",
-            ))
+            notes.append(ReportNote("boundary-self-intersection", (2 * m - d,)))
         else:
             bundle_class = _bundle_class(p, m)
         if h1 == 1:
-            notes += [
-                ReportNote(
-                    "sublocus-codim",
-                    f"scrolls with special section of degree {k} form a "
-                    f"sublocus of codimension {sublocus_codim_h1_1(g, k)}",
-                )
-                for k in range(lo, hi)
-            ]
+            notes += [ReportNote("sublocus-codim", (k, sublocus_codim_h1_1(g, k)))
+                      for k in range(lo, hi)]
         else:
             if singular_point_predicate(g, h1, m):
                 notes.append(_SINGULAR_LOCUS)
             if m > lo:
-                notes.append(_singular_overlap(m))
+                notes.append(ReportNote("singular-overlap", (m,)))
         records.append(ComponentRecord(d, g, h1, m, component_dimension_formula(d, g, h1, m),
                                        bundle_class, None, tuple(notes)))
 
@@ -305,11 +285,8 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
         for gp in enumerate_z_components(d, g, h1):  # each has l = h1
             m, t = gp.m, gp.t
             # l >= 3 makes the excess positive (z_vs_h_difference)
-            gonal_notes = (ReportNote(
-                "not-contained",
-                f"Z({t},{h1}) is not contained in any general-moduli "
-                f"component (dimension excess {z_vs_h_difference(gp)})",
-            ),) if h1 >= 3 else ()
+            gonal_notes = (ReportNote("not-contained", (t, h1, z_vs_h_difference(gp))),
+                           ) if h1 >= 3 else ()
             records.append(ComponentRecord(d, g, h1, m, z_component_dimension(gp),
                                            _bundle_class(p, m), t, gonal_notes))
 

@@ -1,5 +1,5 @@
 """The public surface: which parameters it takes, and the README's example,
-table of records, table of error codes and CLI examples.  That each derived
+table of records, table of error codes, note codes and CLI examples.  That each derived
 value of a record in the table has a docstring is checked, with the rest of
 what a derived value is, in ``test_records.py``."""
 
@@ -14,6 +14,7 @@ from pathlib import Path
 
 import scrollhilb
 from scrollhilb.cli import run
+from scrollhilb.components import _NOTE_TEXT
 from test_validation_sites import SRC, _raised_codes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -90,6 +91,15 @@ def test_readme_lists_every_error_code():
     assert cli_codes == {"malformed-range", "malformed-degree-policy",
                          "missing-flags", "conflicting-flags"}
     assert [code for code in sorted(cli_codes) if f"`{code}`" not in bullet] == []
+
+
+def test_readme_lists_every_note_code():
+    # the backticked codes after the colon of each bullet on where a note sits
+    bullets = re.search(r"where its statement belongs:\n\n(.*?)\n\n", README.read_text(),
+                        re.DOTALL).group(1)
+    codes = [code for bullet in bullets.split("\n* ")
+             for code in re.findall(r"`([a-z]+(?:-[a-z]+)*)`", bullet.split(":", 1)[1])]
+    assert sorted(codes) == sorted(_NOTE_TEXT)
 
 
 def test_every_name_the_readme_error_table_cites_resolves():

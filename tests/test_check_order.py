@@ -11,7 +11,6 @@ the canonical degree.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +20,6 @@ from scrollhilb import (
     ScrollParams,
     admissible_m_range,
     section_uniqueness_threshold,
-    singular_by_smaller_section,
     sublocus_codim_h1_1,
 )
 from scrollhilb.scroll import require_admissible
@@ -143,21 +141,6 @@ def scroll_and_m(draw) -> tuple[ScrollParams, int]:
 def test_require_admissible_matches_the_reference(case):
     p, m = case
     assert _outcome(require_admissible, p, m) == _reference_admissible(*p, m)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(data=st.data(), g=st.integers(31, BIG))
-def test_singular_by_smaller_section_reports_the_outer_degree_first(data, g):
-    # every h1 <= g/4 has general moduli
-    h1 = data.draw(st.one_of(near(1, lo=1), near(g // 4, hi=g // 4), st.integers(1, g // 4)))
-    lo, hi = g + 3 - h1, max_special_degree(g, h1)[1]
-    outside = st.one_of(near(lo - 4, hi=lo - 1), near(hi + 4, lo=hi + 1),
-                        st.integers(-BIG, lo - 1), st.integers(hi + 1, hi + BIG))
-    m_outer, m_inner = data.draw(outside), data.draw(outside)
-    with pytest.raises(InvalidParameters, match="^m-out-of-range: ") as exc:
-        singular_by_smaller_section(g, h1, m_outer, m_inner)
-    assert exc.value.detail.startswith(f"m = {m_outer} not in [{lo}, {hi}]")
-
 
 
 def _reference_sublocus(g: int, m: int) -> int | str:

@@ -299,8 +299,6 @@ def library_transcript():
             for m in ms:
                 yield rec(lib.SeriesSpec, g, m, h1)
                 yield rec(lib.sublocus_codim_h1_1, g, m)
-                yield rec(lib.singular_by_smaller_section, g, h1, hi, m)
-                yield rec(lib.singular_by_smaller_section, g, h1, m, lo)
             for t in (2, 3, 4):
                 for d in (6 * g - 6, 6 * g - 5):
                     yield rec(lib.GonalParams, g, t, h1, d)
@@ -349,11 +347,10 @@ LIBRARY_GOLDEN = {
     "admissible_m_range": (560, "2321c287a8fd49c67fb75bce3c895e2c8c15ba0d103522b1638570af1df95bd6"),
     "SeriesSpec": (3658, "f7aabc6bf047587103b9b42283ab4f37f154d5b72e43b62f5b116e005e493259"),
     "sublocus_codim_h1_1": (3658, "6005287d176526cee230d814b3027a2a475efe2a0cb0dc00b8727dbd43227b97"),
-    "singular_by_smaller_section": (7316, "6359a7e2f0b6317ab38b8efa69e5b3d17466ca413cb24a948b38368ff56ab751"),
     "GonalParams": (3360, "248b16b68c37e290da8d7ddb77a158b47f3eafd92f81003d9215b9912e797857"),
     "ScrollParams": (2745, "62f2be2d0bc346463baad3892256a4396d405c35dd248438a29bb1f8e86d061a"),
     "ProjectionParams": (19920, "1405d930327a50fa3fcb926fa8550af7a68f1b68d96b9688c877470f9ce1600d"),
-    "classify": (2886, "d8426cdf83540f941ecc0660c8881c70ec669eaf5e5a339189fb5b8e6efa4cd9"),
+    "classify": (2886, "32be61b22ab089a0bf8867ad598f73e92c29025b9e3988a1b3ba2fe5e04876e1"),
     "require_admissible": (12658, "09ab583a529886a847db10b9f1b3aa0e65d311b151708f9e05652f8085e8438f"),
     "stability_class": (12658, "f85046931be33bc476a2b66dfa5cf505ceff02f77dfc3154068081e3bbf30dab"),
     "section_data": (12658, "4bbb8abcdd6289563f43331bbe3a55602e045abad28c77723fe7e22e63669c7b"),
