@@ -3,9 +3,9 @@
 Each CLI case is the sha256 of ``repr((exit code, stdout, stderr))`` of one
 ``cli.run`` invocation.  The library transcript records, over a grid of
 small and boundary inputs, the result or the ``(code, message)`` of every
-public validator and of every function that checks a hypothesis, and
-commits one line count and digest per function, so a failing run names the
-functions whose lines moved.  A refactor that keeps these hashes keeps every
+function and validated record the package exports, and of the validator
+``require_admissible``, and commits one line count and digest per function,
+so a failing run names the functions whose lines moved.  A refactor that keeps these hashes keeps every
 output byte, every exit code, every error code and message, and the order
 in which the checks fire.
 """
@@ -13,12 +13,14 @@ in which the checks fire.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import io
 
 import pytest
 
 import scrollhilb as lib
 from scrollhilb import cli, components, scroll, series
+from scrollhilb.errors import _Checked
 from test_cli import output_before_cell
 
 
@@ -291,6 +293,7 @@ def library_transcript():
             yield rec(series.max_special_degree, g, h1)
             yield rec(scroll.min_degree_threshold, g, h1)
             yield rec(scroll.general_moduli_threshold, g, h1)
+            yield rec(lib.section_uniqueness_threshold, g, h1)
             yield rec(components.admissible_m_range, g, h1)
             mrange = _call(components.admissible_m_range, g, h1)
             lo, hi = ((mrange[0], mrange[-1]) if isinstance(mrange, range)
@@ -299,9 +302,20 @@ def library_transcript():
             for m in ms:
                 yield rec(lib.SeriesSpec, g, m, h1)
                 yield rec(lib.sublocus_codim_h1_1, g, m)
+                yield rec(lib.brill_noether_rho, g, m - g + h1, m)
+                yield rec(lib.rho_of_bundle, g, m - g + 1 + h1, h1)
+                yield rec(lib.singular_point_predicate, g, h1, m)
             for t in (2, 3, 4):
+                yield rec(lib.kk_margin, g, t, h1)
                 for d in (6 * g - 6, 6 * g - 5):
                     yield rec(lib.GonalParams, g, t, h1, d)
+            for d in (6 * g - 6, 6 * g - 5):
+                yield rec(lib.enumerate_z_components, d, g, h1)
+                for gp in lib.enumerate_z_components(d, g, h1):
+                    yield rec(lib.z_component_dimension, gp)
+                    yield rec(lib.h_component_dimension_at_gonal_m, gp)
+                    yield rec(lib.z_vs_h_difference, gp)
+                    yield rec(lib.z_dim_via_parameter_count, gp)
             thr = _call(scroll.min_degree_threshold, g, h1)
             thr = thr if isinstance(thr, int) else 4 * g
             degrees = sorted({2 * g + 1, thr - 1, thr, thr + 1, 6 * g - 5})
@@ -320,13 +334,20 @@ def library_transcript():
                     yield rec(lib.stability_class, p, m)
                     yield rec(lib.section_data, p, m)
                     yield rec(lib.component_dimension, p, m)
+                    yield rec(lib.component_dimension_formula, *p, m)
                     yield rec(lib.normal_bundle_cohomology, p, m)
                     yield rec(lib.normal_bundle_cohomology, p, m, -1)
                     yield rec(lib.h0_explicit, p, m)
                     yield rec(lib.dim_via_parameter_count, p, m)
+                    yield rec(lib.aut_dimension, p, m)
                 for m in (lo - 1, lo, hi):
                     for k in (-1, 0, h1 - 1, h1):
                         yield rec(lib.ProjectionParams, d, g, h1, k, m)
+                        pp = _call(lib.ProjectionParams, d, g, h1, k, m)
+                        if isinstance(pp, lib.ProjectionParams):
+                            yield rec(lib.y_dim_lower_bound, pp)
+                            yield rec(lib.y_vs_target_difference, pp)
+                            yield rec(lib.y_vs_nonspecial_difference, pp)
 
 
 # qualname -> (lines, sha256 of those lines), in the order the transcript
@@ -344,10 +365,16 @@ LIBRARY_GOLDEN = {
     "max_special_degree": (560, "e9e1b0468186805932460ea55e26ce3193d9bf7d9c4bb265272a19e1b0c41311"),
     "min_degree_threshold": (560, "ca94457b1409d922c84c794f94bedc278d1c095c99730d10e5860c02dfa9bc12"),
     "general_moduli_threshold": (560, "c33eb8859fd11ddf4d5948e6d20a39a853673a3cd590336cf3d2473062e044c0"),
+    "section_uniqueness_threshold": (560, "139852595fc31e1a89541c01f155814d99d029abb45ed076c6c325e32f5b3a92"),
     "admissible_m_range": (560, "2321c287a8fd49c67fb75bce3c895e2c8c15ba0d103522b1638570af1df95bd6"),
     "SeriesSpec": (3658, "f7aabc6bf047587103b9b42283ab4f37f154d5b72e43b62f5b116e005e493259"),
     "sublocus_codim_h1_1": (3658, "6005287d176526cee230d814b3027a2a475efe2a0cb0dc00b8727dbd43227b97"),
+    "brill_noether_rho": (3658, "229442be676a0ac1e5b317c0adf4eec91a15845fe0d9b2e296aa510ccb47a009"),
+    "rho_of_bundle": (3658, "f90bc7054fa4e401bbd35c4d769e3efcf0c5d0b6f2458bdd156c5c0d9307cbdc"),
+    "singular_point_predicate": (3658, "3155dce39d9aafc3982d687eef3933aab2ddb158dc1bc5edf558e305039082f7"),
+    "kk_margin": (1680, "3c86a96bed826a42c34b669da060224422738d0086e455da6f99d8cea53cb714"),
     "GonalParams": (3360, "248b16b68c37e290da8d7ddb77a158b47f3eafd92f81003d9215b9912e797857"),
+    "enumerate_z_components": (1120, "e44fba04951d6f16c8f4c090f0a947370a96c3d2e52dbb711e6742fd820e517f"),
     "ScrollParams": (2745, "62f2be2d0bc346463baad3892256a4396d405c35dd248438a29bb1f8e86d061a"),
     "ProjectionParams": (19920, "1405d930327a50fa3fcb926fa8550af7a68f1b68d96b9688c877470f9ce1600d"),
     "classify": (2886, "32be61b22ab089a0bf8867ad598f73e92c29025b9e3988a1b3ba2fe5e04876e1"),
@@ -355,9 +382,18 @@ LIBRARY_GOLDEN = {
     "stability_class": (12658, "f85046931be33bc476a2b66dfa5cf505ceff02f77dfc3154068081e3bbf30dab"),
     "section_data": (12658, "4bbb8abcdd6289563f43331bbe3a55602e045abad28c77723fe7e22e63669c7b"),
     "component_dimension": (12658, "ae0ef63ee21c1f8de96c63f9348802bf18c4138578344ab6e15eb76dbf53ee66"),
+    "component_dimension_formula": (12658, "918d683e8b2a78e2f7e521855278b3acd30aa3059c3b27af72ee5ab178b6fd2f"),
     "normal_bundle_cohomology": (25316, "d5da621fe07a05381931efd7bbe718f3028abca3f24739c77caec7318a2f7046"),
     "h0_explicit": (12658, "6bc1034cc4aebf7d67c6ada4a36874fbad6f8abc2abdf9ea64e955b9f6ba7555"),
     "dim_via_parameter_count": (12658, "19cd1bb418d23d711f8cf4b91368b81edf8b3280360fc4b98e36d5f76a833ae4"),
+    "aut_dimension": (12658, "f5aedfe7371aaafe36b2889a231ab1244a4b258cac89c6f7dc26c6f925d36786"),
+    "y_dim_lower_bound": (1272, "6572b8c7ad69c23a0aaeb274d07ff8b0478e8a15cf314659f16b5a49035a5535"),
+    "y_vs_target_difference": (1272, "fa3ab2ad81630a64527bfba21252e9360b43749cb7bb03ca354d6c27bd50d5c9"),
+    "y_vs_nonspecial_difference": (1272, "0238188f59e837225517fa826c1d97e9b308479238ca287e04281e9831896935"),
+    "z_component_dimension": (100, "b96e90b6c0b828a623b5ec55be321f4f220f1c5d75cfbe8f0b22ee2a1b2e4f09"),
+    "h_component_dimension_at_gonal_m": (100, "f40cb875588faa508ecea0a62f516f6e8e352a83b15e00a4d5d9ed27cdfe3643"),
+    "z_vs_h_difference": (100, "7302a38574315248633869261e1901560199efe8aba760599aa5388670957e6f"),
+    "z_dim_via_parameter_count": (100, "883ed13e3a98bd1ff80a8e5bdd6e942cc67c83499975c2c864413cfb6617a8cc"),
 }
 
 
@@ -375,3 +411,10 @@ def test_library_transcript_golden():
              if got.get(name) != LIBRARY_GOLDEN.get(name)]
     assert moved == [], "moved entries:\n" + "\n".join(moved)
     assert list(got) == list(LIBRARY_GOLDEN)
+
+
+def test_library_golden_pins_every_exported_function_and_validated_record():
+    exported = {obj.__qualname__ for name, obj in vars(lib).items()
+                if not name.startswith("_") and (inspect.isfunction(obj) or (
+                    isinstance(obj, type) and issubclass(obj, _Checked)))}
+    assert sorted(exported - LIBRARY_GOLDEN.keys()) == []
