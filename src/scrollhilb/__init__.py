@@ -26,7 +26,6 @@ from .gonal import (
     kk_margin,
     make_gonal_params,
     rem19608_family,
-    special_residual_series,
     z_component_dimension,
     z_vs_h_difference,
 )
@@ -44,25 +43,21 @@ from .scroll import (
     BundleClass,
     CohomologyTriple,
     ScrollParams,
-    SectionData,
     aut_dimension,
     general_moduli_threshold,
     h0_explicit,
     make_scroll,
     min_degree_threshold,
     normal_bundle_cohomology,
-    section_data,
     section_uniqueness_threshold,
     stability_class,
 )
 from .series import (
-    SeriesSpec,
     brill_noether_rho,
     clifford_index_general,
     gonality_general,
     max_special_degree,
     rho_of_bundle,
-    riemann_roch_h0,
 )
 
 __version__ = "0.1.0"

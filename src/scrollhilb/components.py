@@ -169,7 +169,11 @@ def admissible_m_range(g: int, h1: int) -> range:
     has general moduli: range(4, 5) for (g, h1) = (3, 1), else all m with
     g + 3 - h1 <= m <= mbar (of :func:`max_special_degree`).  Requires
     0 < h1 < g, then g >= 4*h1 (so the section's series has dimension >= 3)
-    or the (3, 1) case; otherwise only special-moduli components exist."""
+    or the (3, 1) case; otherwise only special-moduli components exist.
+
+    Every m of the range is a section (code 7 cannot fire): h = m - g + h1
+    grows with m and is 3 at the start g + 3 - h1, and 4 - 3 + 1 = 2 at
+    (3, 1), so h >= 2 on the whole range."""
     _require_speciality(g, h1)
     lo, hi = _section_degree_range(g, h1)
     return range(lo, hi + 1)
@@ -261,8 +265,9 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
 
     records: list[ComponentRecord] = []
 
-    # Past the checks above, every section has h = m - g + h1 >= 2; a
-    # self-intersection 2m - d >= 0 is the one case left without a bundle class.
+    # Past the checks above, every section has h = m - g + h1 >= 2
+    # (admissible_m_range); a self-intersection 2m - d >= 0 is the one case
+    # left without a bundle class.
     for m in [hi] if h1 == 1 else range(lo, hi + 1):
         notes: list[ReportNote] = []
         if 2 * m - d >= 0:

@@ -3,7 +3,7 @@
 Every validation in this package rejects the *first* inequality that fails,
 in a fixed documented order, and names it with a stable kebab-case code so
 that callers (and the CLI) can rely on deterministic diagnostics.  Each
-inequality is checked in one function, except four:
+inequality is checked in one function, except three:
 
 * g < 3, by ``scroll._require_scroll``, ``general_moduli_threshold``,
   ``clifford_index_general`` and ``gonality_general``: one shared helper
@@ -12,12 +12,10 @@ inequality is checked in one function, except four:
 * t <= 2, by ``gonal._require_pencil_degree`` and ``gonal._z_gate``, whose
   messages differ; the golden library transcript holds both;
 * t >= the general gonality, by ``gonal._z_gate`` and
-  ``gonal_locus_dimension``, under two codes;
-* h1 < 0, by ``series.SeriesSpec`` (as i < 0) and ``riemann_roch_h0``, whose
-  messages differ.
+  ``gonal_locus_dimension``, under two codes.
 
 A scroll is checked in this order: ``ScrollParams`` 1-3,
-``require_admissible`` 4-6, ``section_data`` 7-8::
+``require_admissible`` 4-6, ``stability_class`` 7-8 (it skips 5-6)::
 
     1  genus-too-small                g < 3                     ScrollParams
     2  speciality-out-of-range        h1 <= 0 or h1 >= g        series._require_speciality

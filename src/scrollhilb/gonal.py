@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InvalidParameters, _Checked
-from .series import SeriesSpec, _has_general_moduli, gonality_general
+from .series import _has_general_moduli, gonality_general
 
 
 def _require_pencil_degree(t: int) -> None:
@@ -63,18 +63,6 @@ def gonal_locus_dimension(g: int, t: int) -> int:
             "not-proper-gonal-locus", f"t = {t} >= general gonality {gamma}"
         )
     return 2 * g + 2 * t - 5
-
-
-def special_residual_series(g: int, t: int, r: int) -> SeriesSpec:
-    """The series canonical minus r pencils on a general t-gonal curve.
-
-    Degree 2g - 2 - r*t, speciality r + 1, and h0 = g - r(t-1); defined for
-    1 <= r <= a - 2 with ``a`` the Ballico parameter.
-    """
-    a = ballico_a(g, t)
-    if not 1 <= r <= a - 2:
-        raise InvalidParameters("r-out-of-range", f"r = {r} not in [1, {a - 2}]")
-    return SeriesSpec(g, 2 * g - 2 - r * t, r + 1)
 
 
 class _GonalFields(NamedTuple):

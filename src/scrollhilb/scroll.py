@@ -72,25 +72,6 @@ class ScrollParams(_Checked, _ScrollFields):
 make_scroll = ScrollParams  # the constructor under its older name
 
 
-class SectionData(NamedTuple):
-    """Numerical data of the unique special section of degree ``m``.
-
-    ``t_ext`` is the rank of the space of extensions of the section's line
-    bundle by its complement, under the general-N convention.  Base points
-    of the residual series enter through :func:`normal_bundle_cohomology`.
-    """
-
-    m: int
-    h: int
-    gamma_sq: int
-    t_ext: int
-
-    @property
-    def degN(self) -> int:
-        """Degree d - m = m - gamma_sq of the complementary line bundle N."""
-        return self.m - self.gamma_sq
-
-
 class CohomologyTriple(NamedTuple):
     """Cohomology of the normal bundle of a scroll in its ambient space:
     ``h0`` and ``h1n`` are its h0 and h1; h2 and chi follow from them."""
@@ -168,16 +149,16 @@ def require_admissible(p: ScrollParams, m: int) -> None:
     _section_degree_range(g, h1, m)  # may raise BN1-violated
 
 
-def _require_section(p: ScrollParams, m: int) -> tuple[int, int]:
-    """Dimension ``h = m - g + h1`` and self-intersection ``2m - d`` of a
-    special section of degree ``m``; rejects h < 2, then 2m - d >= 0."""
+def _require_section(p: ScrollParams, m: int) -> None:
+    """Reject a special section of degree ``m`` whose dimension
+    ``h = m - g + h1`` is below 2, then one whose self-intersection
+    ``2m - d`` is not negative."""
     h = m - p.g + p.h1
     if h < 2:
         raise InvalidParameters("not-a-section", f"h = m - g + h1 = {h} < 2")
     gamma_sq = 2 * m - p.d
     if gamma_sq >= 0:
         raise InvalidParameters("nonnegative-self-intersection", f"2m - d = {gamma_sq} >= 0")
-    return h, gamma_sq
 
 
 def _bundle_class(p: ScrollParams, m: int) -> BundleClass:
@@ -185,20 +166,6 @@ def _bundle_class(p: ScrollParams, m: int) -> BundleClass:
     if p.d >= 6 * p.g - 5 or h1_general_line_bundle(p.g, p.d - 2 * m) == 0:
         return BundleClass.UNSTABLE_DECOMPOSABLE
     return BundleClass.UNSTABLE
-
-
-def section_data(p: ScrollParams, m: int) -> SectionData:
-    """Numerical data of the special section of degree ``m`` on the scroll.
-
-    The section spans a P^h with ``h = m - g + h1``, has self-intersection
-    ``2m - d`` (required to be negative) and complement of degree ``d - m``.
-    The general-N convention gives the extension-space rank
-    ``max(0, g - 1 - (d - 2m))``.
-    """
-    require_admissible(p, m)
-    h, gamma_sq = _require_section(p, m)
-    t_ext = h1_general_line_bundle(p.g, p.d - 2 * m)
-    return SectionData(m=m, h=h, gamma_sq=gamma_sq, t_ext=t_ext)
 
 
 def stability_class(p: ScrollParams, m: int) -> BundleClass:
@@ -210,9 +177,11 @@ def stability_class(p: ScrollParams, m: int) -> BundleClass:
     vanishes), or when the general-N convention already gives extension
     rank 0.
 
-    Unlike :func:`section_data` this does not restrict ``m`` to the
-    general-moduli range: sections of scrolls over curves with special
-    moduli (e.g. gonal ones) are classified by the same argument.
+    It checks the degree against the lower threshold
+    ``min(4g - 3, min_degree_threshold)``, then the section (codes 7-8), but
+    does not restrict ``m`` to the general-moduli range (codes 5-6):
+    sections of scrolls over curves with special moduli (e.g. gonal ones)
+    are classified by the same argument.
     """
     _degree_threshold(p.g, p.h1, p.d, cap=4 * p.g - 3)
     _require_section(p, m)

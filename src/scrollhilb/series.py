@@ -1,84 +1,23 @@
-"""Exact arithmetic of linear series on smooth curves.
+"""Exact arithmetic of linear series on the general curve of genus g.
 
-Riemann-Roch bookkeeping, Brill-Noether numbers, Clifford index and gonality
-of the general curve, and the maximal degree/dimension of a complete special
-series of prescribed speciality.  Everything here is an integer formula; no
+The Brill-Noether number in its two forms, the Clifford index and gonality
+of the general curve, the maximal dimension and degree of a complete series
+of prescribed speciality, and the general-moduli condition with the range
+of section degrees it admits.  Riemann-Roch, h0 = m - g + 1 + h1, is written
+inline where it is used.  Everything here is an integer formula; no
 floating point is used anywhere in this package, and rational comparisons are
 done by cross-multiplication.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .errors import InvalidParameters, _Checked
-
-
-class _SeriesFields(NamedTuple):
-    g: int
-    m: int
-    i: int
-
-
-class SeriesSpec(_Checked, _SeriesFields):
-    """A complete special linear series of degree ``m`` and speciality ``i``
-    on a genus-``g`` curve.
-
-    Its projective dimension ``h`` is m - g + i by Riemann-Roch; the
-    constructor rejects g < 2, then i < 0 or h < 0.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, g: int, m: int, i: int):
-        if g < 2:
-            raise InvalidParameters("genus-too-small", f"g = {g} < 2")
-        h = m - g + i
-        if i < 0 or h < 0:
-            raise InvalidParameters(
-                "riemann-roch-inconsistent", f"h = {h}, i = {i} must be >= 0"
-            )
-        return tuple.__new__(cls, (g, m, i))
-
-    @property
-    def h(self) -> int:
-        """Projective dimension m - g + i (Riemann-Roch)."""
-        return self.m - self.g + self.i
-
-    @property
-    def h0(self) -> int:
-        """Number of sections h + 1 = m - g + 1 + i (Riemann-Roch)."""
-        return self.h + 1
-
-    @property
-    def brill_noether(self) -> int:
-        """Bundle-form Brill-Noether number g - h0*i of this series
-        (:func:`rho_of_bundle`)."""
-        return rho_of_bundle(self.g, self.h0, self.i)
+from .errors import InvalidParameters
 
 
 def _require_speciality(g: int, h1: int) -> None:
     """Reject a speciality outside 0 < h1 < g."""
     if h1 <= 0 or h1 >= g:
         raise InvalidParameters("speciality-out-of-range", f"h1 = {h1} not in (0, g) with g = {g}")
-
-
-def riemann_roch_h0(g: int, deg: int, h1: int) -> int:
-    """Sections of a line bundle of degree ``deg`` and speciality ``h1``.
-
-    Returns ``deg - g + 1 + h1``; a negative speciality, or a negative
-    result, means the claimed speciality is inconsistent and is rejected.
-    """
-    if g < 0:
-        raise InvalidParameters("genus-too-small", f"g = {g} < 0")
-    if h1 < 0:
-        raise InvalidParameters("riemann-roch-inconsistent", f"h1 = {h1} < 0")
-    h0 = deg - g + 1 + h1
-    if h0 < 0:
-        raise InvalidParameters(
-            "negative-h0", f"deg - g + 1 + h1 = {h0} < 0 (inconsistent speciality)"
-        )
-    return h0
 
 
 def brill_noether_rho(g: int, r: int, m: int) -> int:

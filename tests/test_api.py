@@ -1,7 +1,9 @@
-"""The public surface: which parameters it takes, and the README's example,
-table of records, table of error codes, note codes and CLI examples.  That each derived
-value of a record in the table has a docstring is checked, with the rest of
-what a derived value is, in ``test_records.py``."""
+"""The public surface: which parameters it takes, which of its functions
+nothing in the package or ``bench/`` calls and why each stays, and the
+README's example, table of records, table of error codes, note codes and CLI
+examples.  That each derived value of a record in the table has a docstring
+is checked, with the rest of what a derived value is, in
+``test_records.py``."""
 
 from __future__ import annotations
 
@@ -18,6 +20,26 @@ from scrollhilb.components import _NOTE_TEXT
 from test_validation_sites import SRC, _raised_codes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCH = README.parent / "bench"
+
+# exported functions that nothing in the package or bench/ calls, each with
+# the reason it stays public
+UNCALLED = {
+    "admissible_m_range": "the public form of the section-degree rule "
+                          "(series._section_degree_range)",
+    "min_degree_threshold": "the public form of the degree rule (scroll._degree_threshold)",
+    "section_uniqueness_threshold": "the Clifford-index form of the threshold, the second "
+                                    "form kept as a check (criterion 07, certificates)",
+    "brill_noether_rho": "the series form of the Brill-Noether number (criterion 06, "
+                         "certificate rho)",
+    "rho_of_bundle": "the bundle form of the Brill-Noether number (certificate rho)",
+    "normal_bundle_cohomology": "the normal bundle's cohomology (criterion 08)",
+    "component_dimension_h1_1": "the speciality-1 dimension in closed form (criterion 02)",
+    "max_special_degree": "mbar for every 0 < h1 < g, which test_check_order.py holds "
+                          "the inline mbar of series._section_degree_range to",
+    "aut_dimension": "the scroll's stabilizer, for the oracle's stabilizer to be checked "
+                     "against (ROADMAP)",
+}
 
 
 def _bool_parameters() -> list[str]:
@@ -35,6 +57,20 @@ def _bool_parameters() -> list[str]:
 def test_the_only_flag_is_classify_include_gonal():
     # every other choice is fixed by the hypotheses or derived from the inputs
     assert _bool_parameters() == ["classify(include_gonal)"]
+
+
+def _loaded_names(paths) -> set[str]:
+    """The names and attribute names that ``paths`` read."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    public = {name for name, fn in vars(scrollhilb).items()
+              if not name.startswith("_") and inspect.isfunction(fn)}
+    called = _loaded_names([*SRC.glob("*.py"), *BENCH.glob("*.py")])
+    assert sorted(public - called) == sorted(UNCALLED)
 
 
 def _library_block() -> str:
@@ -67,7 +103,7 @@ def _readme_records() -> list[tuple[str, str]]:
 
 def test_readme_record_table_lists_each_record_s_fields():
     rows = _readme_records()
-    assert len(rows) == 10
+    assert len(rows) == 8
     for name, fields in rows:
         assert fields == ", ".join(getattr(scrollhilb, name)._fields), name
 
@@ -83,7 +119,7 @@ def test_readme_lists_every_error_code():
     text = README.read_text()
     table = [code for code, _, _ in _readme_error_table()]
     library = _raised_codes([path for path in SRC.glob("*.py") if path.name != "cli.py"])
-    assert len(table) == len(set(table)) == 21
+    assert len(table) == len(set(table)) == 18
     assert set(table) == set(library)
     # the CLI's own codes, in the exit-code bullet
     bullet = text.split("* Exit codes:", 1)[1].split("\n* ", 1)[0]

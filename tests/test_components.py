@@ -49,9 +49,16 @@ def admissible_m_by_enumeration(g: int, h1: int) -> list[int]:
 def test_admissible_m_range_examples():
     assert admissible_m_range(3, 1) == range(4, 5)
     assert admissible_m_range(8, 2) == range(9, 10)
-    # at speciality 1 the range ends at the canonical degree 2g - 2
     for g in [*range(3, GMAX + 1), 10**30 + 1]:
+        # at speciality 1 the range ends at the canonical degree 2g - 2
         assert admissible_m_range(g, 1)[-1] == 2 * g - 2
+        # h = m - g + h1 is 3 at the start of every range (2 at (3, 1)) and
+        # grows with m, so every admissible degree is a section: classify
+        # relies on it, and not-a-section cannot fire past the range checks
+        for h1 in {*range(1, min(g, 40)), max(1, g // 4)}:
+            if _has_general_moduli(g, h1):
+                start = admissible_m_range(g, h1)[0]
+                assert start - g + h1 == (2 if (g, h1) == (3, 1) else 3)
     with pytest.raises(InvalidParameters) as exc:
         admissible_m_range(6, 2)
     assert exc.value.code == "BN1-violated"

@@ -5,9 +5,9 @@ Each CLI case is the sha256 of ``repr((exit code, stdout, stderr))`` of one
 small and boundary inputs, the result or the ``(code, message)`` of every
 function and validated record the package exports, and of the validator
 ``require_admissible``, and commits one line count and digest per function,
-so a failing run names the functions whose lines moved.  A refactor that keeps these hashes keeps every
-output byte, every exit code, every error code and message, and the order
-in which the checks fire.
+so a failing run names the functions whose lines moved.  A refactor that
+keeps these hashes keeps every output byte, every exit code, every error
+code and message, and the order in which the checks fire.
 """
 
 from __future__ import annotations
@@ -277,13 +277,9 @@ def library_transcript():
         yield rec(series.clifford_index_general, g)
         yield rec(series.gonality_general, g)
         yield rec(lib.rem19608_family, g)
-        yield rec(lib.riemann_roch_h0, g, 2 * g - 2, 1)
-        yield rec(lib.riemann_roch_h0, g, 0, 0)
         for t in range(-1, g // 2 + 4):
             yield rec(lib.ballico_a, g, t)
             yield rec(lib.gonal_locus_dimension, g, t)
-            for r in (0, 1, 2):
-                yield rec(lib.special_residual_series, g, t, r)
         thr1 = _call(scroll.min_degree_threshold, g, 1)
         d1 = thr1 if isinstance(thr1, int) else 4 * g
         for d in (d1 - 1, d1, d1 + 1, 6 * g - 5):
@@ -300,7 +296,6 @@ def library_transcript():
                       else (g + 3 - h1, g + 3))
             ms = sorted({3, lo - 1, lo, hi, hi + 1, 2 * g - 3, 2 * g - 2})
             for m in ms:
-                yield rec(lib.SeriesSpec, g, m, h1)
                 yield rec(lib.sublocus_codim_h1_1, g, m)
                 yield rec(lib.brill_noether_rho, g, m - g + h1, m)
                 yield rec(lib.rho_of_bundle, g, m - g + 1 + h1, h1)
@@ -332,7 +327,6 @@ def library_transcript():
                 for m in ms + [d // 2, (d + 1) // 2]:
                     yield rec(scroll.require_admissible, p, m)
                     yield rec(lib.stability_class, p, m)
-                    yield rec(lib.section_data, p, m)
                     yield rec(lib.component_dimension, p, m)
                     yield rec(lib.component_dimension_formula, *p, m)
                     yield rec(lib.normal_bundle_cohomology, p, m)
@@ -356,10 +350,8 @@ LIBRARY_GOLDEN = {
     "clifford_index_general": (32, "67ab3a612a3c7d107ee1e06e4b5f76c41a9f6b9fe3ff49fdd337068359b0c840"),
     "gonality_general": (32, "15686d6b06a38cc3e446eb70dbc23c8ed313e4565bee679cd9d5e3b2f698c706"),
     "rem19608_family": (32, "6db922cd75d1b4cbcbce30adef7da32bcc0dca4b6e9922e82b3989e57935a6d2"),
-    "riemann_roch_h0": (64, "8721426d21cf5aa8159ec829554a3d3777209648e8724a4ba29f6beb52dc5eed"),
     "ballico_a": (384, "935bd29c6771e8c1418676c2bda756064a8e5052c8279122720a54c10d7ede1e"),
     "gonal_locus_dimension": (384, "baa007fd9655f6890ae612352835bd63259963b0d3b1eb72711d6b93b63dc47e"),
-    "special_residual_series": (1152, "0c65280caed147b775326410f6a4c2d5ab783451df93fdafa674a85946a52f9f"),
     "component_dimension_h1_1": (128, "fa9053d75249198d156dce8e07c9b9e8c2544ec46cf753a0982e1c2b6aa4214f"),
     "divisor_case": (128, "4fc5164e3869acdf3bd6d505bd20f050cc0631aa5dbceb008d5b624fa7afb168"),
     "max_special_degree": (560, "e9e1b0468186805932460ea55e26ce3193d9bf7d9c4bb265272a19e1b0c41311"),
@@ -367,7 +359,6 @@ LIBRARY_GOLDEN = {
     "general_moduli_threshold": (560, "c33eb8859fd11ddf4d5948e6d20a39a853673a3cd590336cf3d2473062e044c0"),
     "section_uniqueness_threshold": (560, "139852595fc31e1a89541c01f155814d99d029abb45ed076c6c325e32f5b3a92"),
     "admissible_m_range": (560, "2321c287a8fd49c67fb75bce3c895e2c8c15ba0d103522b1638570af1df95bd6"),
-    "SeriesSpec": (3658, "f7aabc6bf047587103b9b42283ab4f37f154d5b72e43b62f5b116e005e493259"),
     "sublocus_codim_h1_1": (3658, "6005287d176526cee230d814b3027a2a475efe2a0cb0dc00b8727dbd43227b97"),
     "brill_noether_rho": (3658, "229442be676a0ac1e5b317c0adf4eec91a15845fe0d9b2e296aa510ccb47a009"),
     "rho_of_bundle": (3658, "f90bc7054fa4e401bbd35c4d769e3efcf0c5d0b6f2458bdd156c5c0d9307cbdc"),
@@ -380,7 +371,6 @@ LIBRARY_GOLDEN = {
     "classify": (2886, "32be61b22ab089a0bf8867ad598f73e92c29025b9e3988a1b3ba2fe5e04876e1"),
     "require_admissible": (12658, "09ab583a529886a847db10b9f1b3aa0e65d311b151708f9e05652f8085e8438f"),
     "stability_class": (12658, "f85046931be33bc476a2b66dfa5cf505ceff02f77dfc3154068081e3bbf30dab"),
-    "section_data": (12658, "4bbb8abcdd6289563f43331bbe3a55602e045abad28c77723fe7e22e63669c7b"),
     "component_dimension": (12658, "ae0ef63ee21c1f8de96c63f9348802bf18c4138578344ab6e15eb76dbf53ee66"),
     "component_dimension_formula": (12658, "918d683e8b2a78e2f7e521855278b3acd30aa3059c3b27af72ee5ab178b6fd2f"),
     "normal_bundle_cohomology": (25316, "d5da621fe07a05381931efd7bbe718f3028abca3f24739c77caec7318a2f7046"),

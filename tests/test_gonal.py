@@ -30,7 +30,6 @@ from scrollhilb import (
     h_component_dimension_at_gonal_m,
     kk_margin,
     rem19608_family,
-    special_residual_series,
     z_component_dimension,
     z_vs_h_difference,
 )
@@ -91,25 +90,6 @@ def test_ballico_a_rejects_small_gonality():
     with pytest.raises(InvalidParameters) as exc:
         ballico_a(10, 2)
     assert exc.value.code == "gonality-out-of-range"
-
-
-def test_special_residual_series_examples():
-    s = special_residual_series(19, 3, 4)
-    assert (s.m, s.i, s.h) == (24, 5, 10)
-    assert s.h0 == 19 - 4 * 2
-    s = special_residual_series(8, 3, 1)
-    assert (s.m, s.i, s.h) == (11, 2, 5)
-    assert s.h0 == 8 - 2
-    # the record derives h = m - g + i by Riemann-Roch
-    assert s.h + 1 == s.m - s.g + 1 + s.i
-
-
-def test_special_residual_series_range():
-    with pytest.raises(InvalidParameters) as exc:
-        special_residual_series(8, 3, 4)  # a - 2 = 3
-    assert exc.value.code == "r-out-of-range"
-    with pytest.raises(InvalidParameters):
-        special_residual_series(8, 3, 0)
 
 
 def test_kk_margin_sign_examples():

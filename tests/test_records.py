@@ -6,8 +6,7 @@ Each derived value of each record in the README's table of records is
 checked by one test, ``test_a_derived_value_is_a_documented_property_not_a_field``:
 a documented, read-only property that no constructor, ``_replace`` or
 ``setattr`` takes.  The example tests of each module state the values
-(``test_series_spec_invariants``, ``test_section_data_examples``,
-``test_normal_bundle_cohomology_examples``, ``test_divisor_case_examples``,
+(``test_normal_bundle_cohomology_examples``, ``test_divisor_case_examples``,
 ``test_gonal_params_validation_order``), and ``test_api.py`` pins the field
 list of every record in that table."""
 
@@ -29,18 +28,15 @@ from scrollhilb import (
     InvalidParameters,
     ProjectionParams,
     ScrollParams,
-    SeriesSpec,
     classify,
     divisor_case,
     make_gonal_params,
     make_projection_params,
     make_scroll,
-    riemann_roch_h0,
-    section_data,
 )
 from scrollhilb.components import ComponentKind, ComponentRecord
 from scrollhilb.errors import _Checked
-from grids import GMAX, degree_values, scroll_grid, speciality_values
+from grids import GMAX, degree_values, speciality_values
 from test_api import _readme_records
 from test_gonal import large_gonal_params
 
@@ -50,7 +46,6 @@ NOT_A_FIELD = TypeError if sys.version_info >= (3, 13) else ValueError
 # (record type, valid constructor arguments, a field, a value out of its range)
 VALIDATED = [
     (ScrollParams, {"d": 10, "g": 3, "h1": 1}, "h1", 3),
-    (SeriesSpec, {"g": 5, "m": 8, "i": 1}, "i", -1),
     (GonalParams, {"g": 19, "t": 3, "l": 5, "d": 110}, "d", 108),
     (ProjectionParams, {"d": 40, "g": 9, "l": 1, "k": 0, "m": 16}, "k", 1),
 ]
@@ -64,7 +59,7 @@ def _validated_records() -> list:
 def _plain_records() -> list:
     p = ScrollParams(40, 9, 1)
     report = classify(p)
-    return [section_data(p, 16), divisor_case(40, 9), CohomologyTriple(56, 0),
+    return [divisor_case(40, 9), CohomologyTriple(56, 0),
             report.components[0], report.components[0].notes[0], report]
 
 
@@ -238,9 +233,3 @@ def test_classification_flags_are_derived_from_the_components():
         (),
     }
 
-
-def test_series_dimension_follows_riemann_roch_on_the_grid():
-    # the series of each grid section: h = m - g + i, and h0 by riemann_roch_h0
-    for p, m in scroll_grid():
-        s = SeriesSpec(p.g, m, p.h1)
-        assert s.h == m - p.g + p.h1 and s.h0 == riemann_roch_h0(p.g, m, p.h1)

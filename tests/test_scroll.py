@@ -1,5 +1,5 @@
-"""Single-scroll invariants: validation, thresholds, section data,
-normal-bundle cohomology, automorphisms, stability.  The two threshold forms
+"""Single-scroll invariants: validation, thresholds, normal-bundle
+cohomology, automorphisms, stability.  The two threshold forms
 agree by criterion 07 (g <= 200) and ``test_certificate.py`` (every g).  The
 ambient bounds d - 2g + 1 <= R <= d - g + 1 are checked once, for valid
 cells with g <= 10**6, a domain that holds the acceptance grid."""
@@ -19,7 +19,6 @@ from scrollhilb import (
     h0_explicit,
     min_degree_threshold,
     normal_bundle_cohomology,
-    section_data,
     stability_class,
 )
 from scrollhilb.series import _has_general_moduli
@@ -68,47 +67,6 @@ def test_threshold_of_a_cell_with_components_exceeds_three_g(data, g):
     h1 = data.draw(st.integers(1, max(1, g // 4)))
     assert _has_general_moduli(g, h1)
     assert min_degree_threshold(g, h1) >= 3 * g + 1
-
-
-def test_section_data_examples():
-    s = section_data(ScrollParams(10, 3, 1), 4)
-    assert (s.h, s.gamma_sq, s.degN, s.t_ext) == (2, -2, 6, 0)
-    s = section_data(ScrollParams(29, 8, 2), 9)
-    assert (s.h, s.gamma_sq, s.degN, s.t_ext) == (3, -11, 20, 0)
-
-
-def test_section_data_boundary_self_intersection():
-    # m = 14 is the top of the admissible range for (g, h1) = (8, 1) and
-    # d = 28 meets the threshold exactly, so the range checks pass and the
-    # zero self-intersection is what gets rejected.
-    with pytest.raises(InvalidParameters) as exc:
-        section_data(ScrollParams(28, 8, 1), 14)
-    assert exc.value.code == "nonnegative-self-intersection"
-
-
-def test_section_data_range_errors():
-    with pytest.raises(InvalidParameters) as exc:
-        section_data(ScrollParams(10, 3, 1), 5)
-    assert exc.value.code == "m-out-of-range"
-    with pytest.raises(InvalidParameters) as exc:
-        section_data(ScrollParams(9, 3, 1), 4)  # 9 < threshold 10
-    assert exc.value.code == "degree-below-threshold"
-    with pytest.raises(InvalidParameters) as exc:
-        section_data(ScrollParams(50, 6, 2), 7)  # g < 4*h1
-    assert exc.value.code == "BN1-violated"
-
-
-def test_section_invariants_on_grid():
-    for p, m in scroll_grid(14):
-        try:
-            s = section_data(p, m)
-        except InvalidParameters as exc:
-            assert exc.code == "nonnegative-self-intersection"
-            continue
-        assert s.gamma_sq == 2 * m - p.d < 0
-        assert s.degN == p.d - m
-        assert 2 * s.degN > p.d  # destabilizing complement
-        assert s.h == m - p.g + p.h1 >= 2
 
 
 def test_stability_examples():

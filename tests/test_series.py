@@ -1,5 +1,6 @@
-"""Linear-series arithmetic: Riemann-Roch, Brill-Noether, Clifford, gonality.
-``test_certificate.py`` certifies the two Brill-Noether forms' agreement."""
+"""Linear-series arithmetic: Brill-Noether, Clifford, gonality, the maximal
+special series and the general-moduli condition.  ``test_certificate.py``
+certifies the two Brill-Noether forms' agreement."""
 
 from __future__ import annotations
 
@@ -9,13 +10,11 @@ from hypothesis import strategies as st
 
 from scrollhilb import (
     InvalidParameters,
-    SeriesSpec,
     brill_noether_rho,
     clifford_index_general,
     gonality_general,
     max_special_degree,
     rho_of_bundle,
-    riemann_roch_h0,
 )
 from scrollhilb.series import (
     _first_general_moduli_genus,
@@ -30,36 +29,6 @@ def max_special_degree_by_enumeration(g: int, h1: int) -> tuple[int, int]:
     while g - (h + 2) * h1 >= 0:
         h += 1
     return h, h + g - h1
-
-
-def test_riemann_roch_h0_examples():
-    assert riemann_roch_h0(3, 4, 1) == 3
-    assert riemann_roch_h0(5, 8, 0) == 4  # non-special: h0 = deg - g + 1
-    # matches the gonal-curve count h0 = g - r(t-1) at (g, r, t) = (19, 4, 3)
-    assert riemann_roch_h0(19, 24, 5) == 11 == 19 - 4 * (3 - 1)
-    # g = 0 is accepted; only g < 0 raises genus-too-small
-    assert riemann_roch_h0(0, 0, 0) == 1 and riemann_roch_h0(0, -1, 0) == 0
-
-
-def test_riemann_roch_h0_rejects_negative():
-    with pytest.raises(InvalidParameters) as exc:
-        riemann_roch_h0(10, 2, 0)
-    assert exc.value.code == "negative-h0"
-
-
-def test_riemann_roch_h0_rejects_a_negative_speciality():
-    # the data SeriesSpec rejects, with its code; after the genus, before h0
-    for args, code, detail in (
-        ((5, 10, -1), "riemann-roch-inconsistent", "h1 = -1 < 0"),
-        ((10, 2, -1), "riemann-roch-inconsistent", "h1 = -1 < 0"),
-        ((-1, 10, -1), "genus-too-small", "g = -1 < 0"),
-    ):
-        with pytest.raises(InvalidParameters) as exc:
-            riemann_roch_h0(*args)
-        assert (exc.value.code, exc.value.detail) == (code, detail)
-    with pytest.raises(InvalidParameters) as exc:
-        SeriesSpec(5, 10, -1)
-    assert exc.value.code == "riemann-roch-inconsistent"
 
 
 @pytest.mark.parametrize("g", range(2, 40))
@@ -126,20 +95,6 @@ def test_max_special_degree_rejects_bad_speciality():
         with pytest.raises(InvalidParameters) as exc:
             max_special_degree(g, h1)
         assert exc.value.code == "speciality-out-of-range"
-
-
-def test_series_spec_invariants():
-    s = SeriesSpec(g=19, m=24, i=5)
-    assert (s.h, s.h0) == (10, 11)  # h = m - g + i
-    assert s.brill_noether == 19 - 11 * 5
-    for args, code, detail in (
-        ((1, 24, 5), "genus-too-small", "g = 1 < 2"),
-        ((5, 2, 2), "riemann-roch-inconsistent", "h = -1, i = 2 must be >= 0"),
-        ((5, 8, -1), "riemann-roch-inconsistent", "h = 2, i = -1 must be >= 0"),
-    ):
-        with pytest.raises(InvalidParameters) as exc:
-            SeriesSpec(*args)
-        assert (exc.value.code, exc.value.detail) == (code, detail)
 
 
 def test_has_general_moduli_examples():

@@ -29,7 +29,8 @@ GUARDED_CODES = (
     "m-out-of-range",
 )
 
-# code -> the sorted ``module.qualname`` of each InvalidParameters(code, ...)
+# code -> the sorted ``module.qualname`` of each InvalidParameters(code, ...):
+# 30 sites of 22 codes
 RAISE_SITES = {
     "BN1-violated": ("series._section_degree_range",),
     "conflicting-flags": ("cli.cmd_gonal",),
@@ -38,10 +39,8 @@ RAISE_SITES = {
     "genus-too-small": (
         "scroll._require_scroll",
         "scroll.general_moduli_threshold",
-        "series.SeriesSpec.__new__",
         "series.clifford_index_general",
         "series.gonality_general",
-        "series.riemann_roch_h0",
     ),
     "gonality-out-of-range": ("gonal._require_pencil_degree", "gonal._z_gate"),
     "k-out-of-range": ("projections.ProjectionParams.__new__",),
@@ -52,7 +51,6 @@ RAISE_SITES = {
     "malformed-range": ("cli._parse_range", "cli._parse_range"),
     "missing-flags": ("cli.cmd_gonal",),
     "negative-basepoints": ("scroll.normal_bundle_cohomology",),
-    "negative-h0": ("series.riemann_roch_h0",),
     "negative-h1": ("scroll.normal_bundle_cohomology",),
     "no-valid-a": ("gonal.ballico_a",),
     "nonnegative-self-intersection": ("scroll._require_section",),
@@ -63,8 +61,6 @@ RAISE_SITES = {
         "projections.y_vs_nonspecial_difference",
         "projections.y_vs_target_difference",
     ),
-    "r-out-of-range": ("gonal.special_residual_series",),
-    "riemann-roch-inconsistent": ("series.SeriesSpec.__new__", "series.riemann_roch_h0"),
     "speciality-out-of-range": ("series._require_speciality",),
 }
 
