@@ -43,7 +43,7 @@ from . import gonal as gonalmod
 from . import oracle
 from . import projections as proj
 from .errors import InvalidParameters
-from .scroll import BundleClass, ScrollParams
+from .scroll import BundleClass, ScrollParams, _degree_threshold
 from .series import _has_general_moduli
 
 COMPONENT_COLUMNS = [
@@ -111,12 +111,14 @@ _NOTE_JSON = {code: _json_str(text) for code, text in comp._NOTE_TEXT.items()}
 
 def _json_row(sep: str, rec: comp.ComponentRecord) -> str:
     """The JSON row of one component record, after ``sep``, from the template
-    of its kind; ints format as themselves under ``%s``, a gonal row's l is
-    its h1, and each note fills the JSON template of its code."""
+    of its kind, which its ``t`` decides as ``ComponentRecord.kind`` does (a
+    general-moduli row has "t": null); ints format as themselves under
+    ``%s``, a gonal row's l is its h1, and each note fills the JSON template
+    of its code."""
     d, g, h1, m, dim, bundle_class, t, notes = rec
     texts = [_NOTE_JSON[code] % args for code, args in notes]
     notes = "[\n        " + ",\n        ".join(texts) + "\n      ]" if texts else "[]"
-    if rec.kind is comp.ComponentKind.GENERAL_MODULI:
+    if t is None:
         return _GENERAL_ROW % (sep, d, g, h1, m, dim, _JSON_TEXT[id(bundle_class)], notes)
     return _GONAL_ROW % (sep, d, g, h1, m, t, h1, dim, _JSON_TEXT[id(bundle_class)], notes)
 
@@ -164,11 +166,32 @@ class _VerifyMismatch(Exception):
 
 
 def _verify_report(report: comp.ClassificationReport) -> None:
-    """Recompute every component dimension via the parameter-count oracle."""
-    params, mismatches = report.params, []
+    """Check a report against the parameter-count oracle.  Once per report:
+    d against the degree threshold, and the section degrees of the
+    general-moduli records against the admissible degrees of (g, h1)
+    (``admissible_m_range``, or its last degree alone at h1 = 1), exactly,
+    so a missing or repeated degree fails as an out-of-range one does; such
+    a failure is one line of counts and range ends.  Then per record: a
+    general-moduli dim against ``oracle._parameter_count``, the count
+    ``dim_via_parameter_count`` returns after its checks, and a gonal dim
+    against ``z_dim_via_parameter_count`` of its (g, t, l, d)."""
+    d, g, h1 = report.params
+    _degree_threshold(g, h1, d)
+    degrees = comp.admissible_m_range(g, h1)
+    if h1 == 1:
+        degrees = degrees[-1:]
+    general = [rec.m for rec in report.components if rec.t is None]
+    if general != [*degrees]:
+        held = f", m in [{min(general)}, {max(general)}]" if general else ""
+        raise _VerifyMismatch(
+            f"verify: section degrees at (d={d}, g={g}, h1={h1}): general-moduli records "
+            f"{len(general)}{held}; admissible degrees {len(degrees)}, "
+            f"m in [{degrees[0]}, {degrees[-1]}]\n"
+        )
+    mismatches = []
     for rec in report.components:
         if rec.t is None:
-            check = oracle.dim_via_parameter_count(params, rec.m)
+            check = oracle._parameter_count(d, g, h1, rec.m)
         else:
             gp = gonalmod.GonalParams(rec.g, rec.t, rec.h1, rec.d)
             check = oracle.z_dim_via_parameter_count(gp)

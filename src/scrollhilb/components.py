@@ -228,6 +228,12 @@ def sublocus_codim_h1_1(g: int, m: int) -> int:
     _section_degree_range(g, 1, m)
     if m == 2 * g - 2:
         raise InvalidParameters("m-not-below-canonical", f"m = {m} >= 2g - 2 = {2 * g - 2}")
+    return _sublocus_codim(g, m)
+
+
+def _sublocus_codim(g: int, m: int) -> int:
+    """:func:`sublocus_codim_h1_1` of a degree its caller has checked as it
+    does; no check of its own."""
     return 2 * g - 2 - m
 
 
@@ -267,33 +273,39 @@ def classify(p: ScrollParams, include_gonal: bool = False) -> ClassificationRepo
 
     # Past the checks above, every section has h = m - g + h1 >= 2
     # (admissible_m_range); a self-intersection 2m - d >= 0 is the one case
-    # left without a bundle class.
+    # left without a bundle class.  Records and notes are built by
+    # tuple.__new__, as their NamedTuple constructors would build them.
     for m in [hi] if h1 == 1 else range(lo, hi + 1):
         notes: list[ReportNote] = []
         if 2 * m - d >= 0:
             bundle_class = None
-            notes.append(ReportNote("boundary-self-intersection", (2 * m - d,)))
+            notes.append(tuple.__new__(ReportNote, ("boundary-self-intersection", (2 * m - d,))))
         else:
             bundle_class = _bundle_class(p, m)
         if h1 == 1:
-            notes += [ReportNote("sublocus-codim", (k, sublocus_codim_h1_1(g, k)))
+            # each k of range(lo, hi) passes the checks of sublocus_codim_h1_1:
+            # h1 = 1 < g, general moduli (checked above) and lo <= k < hi = 2g - 2
+            notes += [tuple.__new__(ReportNote, ("sublocus-codim", (k, _sublocus_codim(g, k))))
                       for k in range(lo, hi)]
         else:
             if singular_point_predicate(g, h1, m):
                 notes.append(_SINGULAR_LOCUS)
             if m > lo:
-                notes.append(ReportNote("singular-overlap", (m,)))
-        records.append(ComponentRecord(d, g, h1, m, component_dimension_formula(d, g, h1, m),
-                                       bundle_class, None, tuple(notes)))
+                notes.append(tuple.__new__(ReportNote, ("singular-overlap", (m,))))
+        dim = component_dimension_formula(d, g, h1, m)
+        records.append(tuple.__new__(ComponentRecord,
+                                     (d, g, h1, m, dim, bundle_class, None, tuple(notes))))
 
     if include_gonal:
         for gp in enumerate_z_components(d, g, h1):  # each has l = h1
             m, t = gp.m, gp.t
-            # l >= 3 makes the excess positive (z_vs_h_difference)
-            gonal_notes = (ReportNote("not-contained", (t, h1, z_vs_h_difference(gp))),
-                           ) if h1 >= 3 else ()
-            records.append(ComponentRecord(d, g, h1, m, z_component_dimension(gp),
-                                           _bundle_class(p, m), t, gonal_notes))
+            gonal_notes = ()
+            if h1 >= 3:  # l >= 3 makes the excess positive (z_vs_h_difference)
+                excess = z_vs_h_difference(gp)
+                gonal_notes = (tuple.__new__(ReportNote, ("not-contained", (t, h1, excess))),)
+            dim = z_component_dimension(gp)
+            records.append(tuple.__new__(ComponentRecord,
+                                         (d, g, h1, m, dim, _bundle_class(p, m), t, gonal_notes)))
 
     return ClassificationReport(p, tuple(records), include_gonal)
 

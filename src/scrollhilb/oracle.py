@@ -12,6 +12,11 @@ from first principles inline (their own Riemann-Roch bookkeeping), not
 imported from the modules whose formulas they cross-check.  It is exercised
 by the test suite and by the CLI ``--verify`` flag, and is allowed to be
 slower than the closed forms.
+
+:func:`dim_via_parameter_count` checks its (p, m) and returns
+:func:`_parameter_count`, the count itself, which takes no check: ``--verify``
+checks a scan cell's degree and section degrees once, then counts each of
+its general-moduli records through it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,12 @@ def dim_via_parameter_count(p: ScrollParams, m: int) -> int:
     """
     require_admissible(p, m)
     d, g, h1 = p
+    return _parameter_count(d, g, h1, m)
 
+
+def _parameter_count(d: int, g: int, h1: int, m: int) -> int:
+    """:func:`dim_via_parameter_count` at a (d, g, h1, m) its caller has
+    checked as ``require_admissible`` does; no check of its own."""
     # series: h-dimensional, degree m, speciality h1 = g - m + h
     h = m - g + h1
     rho = g - (h + 1) * (h - m + g)

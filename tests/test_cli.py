@@ -169,9 +169,7 @@ def test_project_speciality_one_below_the_divisor_degree():
 def test_verify_failure_exits_3(monkeypatch):
     import scrollhilb.cli as cli_module
 
-    monkeypatch.setattr(
-        cli_module.oracle, "dim_via_parameter_count", lambda p, m: -1
-    )
+    monkeypatch.setattr(cli_module.oracle, "_parameter_count", lambda d, g, h1, m: -1)
     code, out, err = invoke("classify", "--d", "10", "--g", "3", "--h1", "1", "--verify")
     assert code == 3
     assert out == ""
@@ -289,6 +287,49 @@ def test_scan_reports_an_error_on_a_kept_cell(monkeypatch):
     assert out == output_before_cell(complete, "json", (8, 2))
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+# --verify checks once per cell that the general-moduli records hold exactly
+# the admissible section degrees: (cell, how classify's records are broken
+# there) -> the one stderr line.  Each record's dim still agrees with the
+# oracle, so only the degree check can fail.
+CELL_CHECK = {
+    ((10, 2), "drop"): "verify: section degrees at (d=37, g=10, h1=2): general-moduli "
+                       "records 1, m in [12, 12]; admissible degrees 2, m in [11, 12]\n",
+    ((10, 2), "repeat"): "verify: section degrees at (d=37, g=10, h1=2): general-moduli "
+                         "records 3, m in [11, 12]; admissible degrees 2, m in [11, 12]\n",
+    ((9, 1), "drop"): "verify: section degrees at (d=31, g=9, h1=1): general-moduli "
+                      "records 0; admissible degrees 1, m in [16, 16]\n",
+    ((9, 1), "repeat"): "verify: section degrees at (d=31, g=9, h1=1): general-moduli "
+                        "records 2, m in [16, 16]; admissible degrees 1, m in [16, 16]\n",
+}
+
+
+@pytest.mark.parametrize("command", ["scan", "classify"])
+@pytest.mark.parametrize("case", sorted(CELL_CHECK), ids=lambda case: f"{case[0]}-{case[1]}")
+def test_verify_checks_the_section_degrees_of_a_cell(case, command, monkeypatch):
+    import scrollhilb.cli as cli_module
+
+    (g, h1), how = case
+    d = min_degree_threshold(g, h1)
+    argv = (("scan", "--g", "3..12", "--h1", "1..2", "--d", "min", "--verify")
+            if command == "scan" else
+            ("classify", "--d", str(d), "--g", str(g), "--h1", str(h1), "--verify"))
+    complete = invoke(*argv)[1]
+    real = cli_module.comp.classify
+
+    def classify_breaking_the_cell(p, include_gonal=False):
+        report = real(p, include_gonal=include_gonal)
+        if (p.g, p.h1) != (g, h1):
+            return report
+        first, *rest = report.components
+        broken = rest if how == "drop" else [first, first, *rest]
+        return report._replace(components=tuple(broken))
+
+    monkeypatch.setattr(cli_module.comp, "classify", classify_breaking_the_cell)
+    code, out, err = invoke(*argv)
+    assert (code, err) == (3, CELL_CHECK[case])
+    assert out == (output_before_cell(complete, "json", (g, h1)) if command == "scan" else "")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

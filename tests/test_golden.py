@@ -194,9 +194,9 @@ def test_cli_golden(argv):
     assert _digest(_run(argv.split())) == CLI_GOLDEN[argv]
 
 
-def _off_by_one_at_g9(p, m):
-    dim = lib.component_dimension_formula(p.d, p.g, p.h1, m)
-    return dim + 1 if p.g == 9 else dim
+def _off_by_one_at_g9(d, g, h1, m):
+    dim = lib.component_dimension_formula(d, g, h1, m)
+    return dim + 1 if g == 9 else dim
 
 
 # Exit 3 under --verify: the oracle disagrees on every record of g = 9.  A
@@ -214,7 +214,7 @@ VERIFY_GOLDEN = {
 @pytest.mark.parametrize("argv", sorted(VERIFY_GOLDEN))
 def test_cli_verify_failure_golden(argv, monkeypatch):
     complete = _run(argv.split())[1]
-    monkeypatch.setattr(cli.oracle, "dim_via_parameter_count", _off_by_one_at_g9)
+    monkeypatch.setattr(cli.oracle, "_parameter_count", _off_by_one_at_g9)
     result = _run(argv.split())
     assert _digest(result) == VERIFY_GOLDEN[argv]
     if argv.startswith("scan"):
@@ -234,7 +234,7 @@ def _divisor_case_off_by_one(d, g):
 
 
 # Exit 3 under --verify on the checks that do not go through
-# dim_via_parameter_count: the gonal command, the divisor case of project, and
+# oracle._parameter_count: the gonal command, the divisor case of project, and
 # a gonal record of classify (its one gonal record, Z(3, 2) at m = 15; the
 # general-moduli records have m = 11 and 12).  argv -> (cli module, the
 # function patched there, its replacement, stderr); stdout stays empty.
